@@ -246,6 +246,18 @@ std::vector<const char*> parse_flags(int argc, char** argv, Flags& flags) {
   return positional;
 }
 
+/// The flow solver's summary line (flow fidelity only): one max-min solve
+/// per perturbed instant, serving every stream change requested in it.
+void print_flow_solver(std::uint64_t solves, std::uint64_t requests) {
+  std::printf("  flow solver %llu solve(s) for %llu request(s), %.1f "
+              "coalesced per solve\n",
+              static_cast<unsigned long long>(solves),
+              static_cast<unsigned long long>(requests),
+              solves > 0 ? static_cast<double>(requests) /
+                               static_cast<double>(solves)
+                         : 0.0);
+}
+
 int run_workload_mode(const Flags& flags,
                       const std::vector<const char*>& args) {
   const auto arg = [&args](std::size_t i) -> const char* {
@@ -340,6 +352,9 @@ int run_workload_mode(const Flags& flags,
               r.sim.sim_seconds,
               static_cast<unsigned long long>(r.sim.events),
               static_cast<unsigned long long>(r.sim.unfinished));
+  if (wc.fidelity == Fidelity::Flow) {
+    print_flow_solver(r.sim.flow_solves, r.sim.flow_solve_requests);
+  }
 
   if (!flags.tcam_csv.empty()) {
     std::FILE* f = std::fopen(flags.tcam_csv.c_str(), "w");
@@ -463,6 +478,7 @@ int main(int argc, char** argv) {
   }
   Bytes fabric_bytes = 0, core_bytes = 0, sram_peak = 0;
   std::uint64_t ecn = 0, pfc = 0, events = 0;
+  std::uint64_t flow_solves = 0, flow_solve_requests = 0;
   std::size_t unfinished = 0;
   std::size_t downs = 0, ups = 0, recovered = 0;
   std::uint64_t delta_applies = 0, delta_repaired = 0, delta_evicted = 0;
@@ -475,6 +491,8 @@ int main(int argc, char** argv) {
     ecn += c.result.ecn_marks;
     pfc += c.result.pfc_pauses;
     events += c.result.events;
+    flow_solves += c.result.flow_solves;
+    flow_solve_requests += c.result.flow_solve_requests;
     sram_peak += c.result.reduce_sram_peak;
     unfinished += c.result.unfinished;
     downs += c.result.fault_downs;
@@ -503,6 +521,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(ecn),
               static_cast<unsigned long long>(pfc),
               static_cast<unsigned long long>(events));
+  if (sc.fidelity == Fidelity::Flow) {
+    print_flow_solver(flow_solves, flow_solve_requests);
+  }
   if (sram_peak > 0) {
     std::printf("  reduce SRAM %s peak (summed over replicas)\n",
                 format_bytes(static_cast<double>(sram_peak)).c_str());

@@ -16,8 +16,9 @@
 # the standalone scheduler/control-plane microbench, a report-only diff
 # of the fresh BENCH_sim.json columns against the committed copy
 # (scripts/perf_diff.sh), an audited flow-fidelity smoke (scenario_cli
-# --fidelity=flow, with a packet-vs-flow byte-totals cross-check), and an
-# audited in-network AllReduce smoke through scenario_cli. It gates on
+# --fidelity=flow, with a packet-vs-flow byte-totals cross-check), an
+# audited flow-fidelity PEEL workload with churn, and an audited
+# in-network AllReduce smoke through scenario_cli. It gates on
 # determinism (perf_suite --check), not on speed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -63,6 +64,9 @@ if [[ "${PEEL_CHECK_PERF:-0}" != "0" ]]; then
   # CCT differs within documented tolerances, so only byte lines are diffed.
   diff <(grep -E 'fabric|core links' /tmp/peel_flow_smoke.txt) \
        <(grep -E 'fabric|core links' /tmp/peel_packet_smoke.txt)
+  echo "== flow-fidelity workload smoke (PEEL jobs with churn, audited) =="
+  ./build-perf/examples/scenario_cli --workload peel broadcast 16 1 30 40 \
+      --churn=1 --audit --watchdog --fidelity=flow
   echo "== in-network AllReduce smoke (scenario_cli innet, audited) =="
   ./build-perf/examples/scenario_cli innet allreduce 16 8 30 5 --audit --watchdog
   echo "== multi-tenant workload smoke (scenario_cli --workload, audited) =="

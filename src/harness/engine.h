@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/collectives/runner.h"
+#include "src/harness/experiment.h"
 #include "src/sim/flow_network.h"
 #include "src/sim/network.h"
 #include "src/sim/sharded.h"
@@ -101,6 +102,14 @@ struct FlowEngine {
     return net.telemetry();
   }
 };
+
+/// Flow-solver counters: zero on the packet engines.
+template <typename Engine>
+void harvest_flow_solver(const Engine& /*engine*/, ScenarioResult& /*out*/) {}
+inline void harvest_flow_solver(const FlowEngine& engine, ScenarioResult& out) {
+  out.flow_solves = engine.net.rate_recomputes();
+  out.flow_solve_requests = engine.net.solve_requests();
+}
 
 /// Pod-sharded parallel engine (src/sim/sharded.h).
 struct ShardedEngine {

@@ -218,6 +218,7 @@ ScenarioResult run_scenario_with(Engine& engine, const Fabric& fabric,
   result.segments_lost = engine.segments_lost();
   result.pfc_pauses = engine.pfc_pauses();
   result.ecn_marks = engine.segments_marked();
+  harvest_flow_solver(engine, result);
   result.reduce_sram_peak = engine.reduce_sram_peak();
   result.reduce_sram_peak_max_domain = engine.reduce_sram_peak_max_domain();
   result.plan_cache = runner.plan_cache().stats();

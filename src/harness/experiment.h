@@ -143,6 +143,10 @@ struct ScenarioResult {
   std::uint64_t segments_lost = 0;
   std::uint64_t pfc_pauses = 0;
   std::uint64_t ecn_marks = 0;
+  /// Flow fidelity only (0 at packet level): max-min solves run, one per
+  /// perturbed instant, and the stream changes that requested them.
+  std::uint64_t flow_solves = 0;
+  std::uint64_t flow_solve_requests = 0;
   /// High-water mark of switch combining SRAM (in-network reduce streams
   /// only; 0 for every host-side scheme). Sharded runs report the sum of
   /// per-domain peaks — an upper bound on fabric-wide demand (domains need

@@ -424,6 +424,7 @@ WorkloadResult run_workload_with(Engine& engine, const Fabric& fabric,
   sim.segments_lost = engine.segments_lost();
   sim.pfc_pauses = engine.pfc_pauses();
   sim.ecn_marks = engine.segments_marked();
+  harvest_flow_solver(engine, sim);
   sim.reduce_sram_peak = engine.reduce_sram_peak();
   sim.reduce_sram_peak_max_domain = engine.reduce_sram_peak_max_domain();
   sim.plan_cache = runner.plan_cache().stats();

@@ -12,9 +12,11 @@
 //     recovery passes), which are rare. Closures live in a small side heap.
 //   - `at(t, SimEvent)` carries a type-tagged POD describing one of the
 //     data-plane transitions and dispatches it to the bound SimEventSink
-//     (the Network). The steady state of a simulation is millions of pump /
-//     finish_tx / arrive events; scheduling them as PODs performs no heap
-//     allocation and no std::function indirection on the hot path.
+//     (the Network, or the FlowNetwork at flow fidelity). The steady state
+//     of a simulation is millions of pump / finish_tx / arrive events (chunk
+//     completions and deliveries in the fluid model); scheduling them as
+//     PODs performs no heap allocation and no std::function indirection on
+//     the hot path.
 //
 // POD storage is a two-tier ladder (calendar) queue instead of one global
 // binary heap:
@@ -61,6 +63,11 @@ enum class SimEventKind : std::uint8_t {
   ReduceEmit, ///< combiner `b` of reduce stream `a` forwards `d` combined
               ///< bytes of chunk `c` upstream (scheduled combine_latency
               ///< after the last expected child byte arrived; marked flag)
+  // FlowNetwork (flow fidelity):
+  FlowComplete, ///< head chunk of fluid stream `a` finishes (epoch =
+                ///< the stream's rate generation; stale when it moved)
+  FlowDeliver,  ///< fluid stream `a` delivers chunk `c` to receiver `b`
+  FlowSolve,    ///< end-of-instant max-min solve over the dirty streams
 };
 
 /// Packed arguments of one hot data-plane event. Field meaning is
@@ -77,8 +84,8 @@ struct SimEvent {
   std::uint32_t epoch = 0;
 };
 
-/// Receiver of packed SimEvents (implemented by the Network). Exactly one
-/// sink can be bound to an EventQueue at a time.
+/// Receiver of packed SimEvents (implemented by the Network and the
+/// FlowNetwork). Exactly one sink can be bound to an EventQueue at a time.
 class SimEventSink {
  public:
   virtual ~SimEventSink() = default;
@@ -111,8 +118,8 @@ class EventQueue {
 
   void after(SimTime delay, const SimEvent& ev) { at(now_ + delay, ev); }
 
-  /// Binds the dispatcher for SimEvents (the Network binds itself on
-  /// construction). Pass nullptr to unbind.
+  /// Binds the dispatcher for SimEvents (the Network and the FlowNetwork
+  /// bind themselves on construction). Pass nullptr to unbind.
   void bind_sink(SimEventSink* sink) noexcept { sink_ = sink; }
   [[nodiscard]] SimEventSink* sink() const noexcept { return sink_; }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace peel {
@@ -20,12 +19,40 @@ FlowNetwork::FlowNetwork(const Topology& topo, const SimConfig& config,
     : topo_(&topo), config_(config), queue_(&queue) {
   config_.validate();
   links_.resize(topo.link_count());
+  slot_of_.assign(topo.link_count(), 0);
+  node_stamp_.assign(topo.node_count(), 0);
   if (config_.telemetry.enabled) {
     telem_ = std::make_unique<Telemetry>(config_.telemetry, topo);
   }
+  queue_->bind_sink(this);
 }
 
-FlowNetwork::~FlowNetwork() = default;
+FlowNetwork::~FlowNetwork() {
+  if (queue_->sink() == this) queue_->bind_sink(nullptr);
+}
+
+void FlowNetwork::on_sim_event(const SimEvent& ev) {
+  switch (ev.kind) {
+    case SimEventKind::FlowComplete: {
+      const FlowState& f = flow(ev.a);
+      if (f.closed || f.gen != ev.epoch) return;  // stale (rate changed since)
+      settle(ev.a, queue_->now());
+      complete_head_chunk(ev.a);
+      return;
+    }
+    case SimEventKind::FlowDeliver:
+      if (on_delivery_) {
+        on_delivery_(DeliveryEvent{ev.a, flow(ev.a).tag, ev.b, ev.c});
+      }
+      return;
+    case SimEventKind::FlowSolve:
+      solve_posted_ = false;
+      solve();
+      return;
+    default:
+      throw std::logic_error("FlowNetwork: unexpected SimEvent kind");
+  }
+}
 
 Bytes FlowNetwork::last_segment(Bytes bytes) const noexcept {
   const Bytes rem = bytes % config_.segment_bytes;
@@ -149,7 +176,10 @@ StreamId FlowNetwork::open_stream(StreamSpec spec) {
     if (f.reduce) telem_->on_reduce_open(id, spec.contributors);
   }
 
-  f.spec = std::move(spec);
+  f.source = spec.source;
+  f.tag = spec.tag;
+  f.cnp_mode = spec.cnp_mode;
+  f.contributors = std::move(spec.contributors);
   if (topo_->failed_link_count() > 0) refresh_live_set(id);
   return id;
 }
@@ -187,6 +217,10 @@ std::vector<int> FlowNetwork::cancel_unsent_chunks(StreamId stream) {
 void FlowNetwork::close_stream(StreamId stream) {
   FlowState& f = flow(stream);
   if (f.closed) return;
+  // Closing shrinks the component without re-rating the flows the stream
+  // shared links with: they keep their rates until their next change. Run
+  // the instant's pending solve while the stream still joins them.
+  if (f.active || is_dirty(stream)) solve();
   const SimTime now = queue_->now();
   settle(stream, now);
   if (f.active && f.head_done > 0.0) {
@@ -209,15 +243,10 @@ void FlowNetwork::close_stream(StreamId stream) {
     f.rate = 0.0;
     ++f.gen;
     f.completion_scheduled = false;
-    f.closed = true;
-    recompute_component(stream);
   }
   f.closed = true;
   auto release = [](auto& c) { std::decay_t<decltype(c)>{}.swap(c); };
-  release(f.spec.forward);
-  release(f.spec.receivers);
-  release(f.spec.contributors);
-  release(f.spec.contributor_local);
+  release(f.contributors);
   release(f.links);
   release(f.link_live);
   release(f.fwd_links);
@@ -289,7 +318,7 @@ void FlowNetwork::deactivate(StreamId s) {
 }
 
 double FlowNetwork::utilization_cap(const FlowState& f) const {
-  switch (f.spec.cnp_mode) {
+  switch (f.cnp_mode) {
     case CnpMode::SenderGuard:
       return config_.flow.guard_utilization;
     case CnpMode::ReceiverTimer:
@@ -310,126 +339,116 @@ double FlowNetwork::line_rate_floor(const FlowState& f) const {
   return floor;
 }
 
+bool FlowNetwork::is_dirty(StreamId s) const {
+  return std::find(dirty_.begin(), dirty_.end(), s) != dirty_.end();
+}
+
 void FlowNetwork::recompute_component(StreamId seed) {
+  ++solve_requests_;
+  dirty_.push_back(seed);
+  if (solve_posted_) return;
+  solve_posted_ = true;
+  SimEvent ev;
+  ev.kind = SimEventKind::FlowSolve;
+  queue_->at(queue_->now(), ev);
+}
+
+void FlowNetwork::finish_instant() const {
+  if (!dirty_.empty()) const_cast<FlowNetwork*>(this)->solve();
+}
+
+void FlowNetwork::solve() {
+  if (dirty_.empty()) return;
   const SimTime now = queue_->now();
   ++rate_recomputes_;
 
-  // Connected component: streams transitively sharing a live link with the
-  // seed. The seed itself is included whether or not it is still active (a
-  // departure perturbs exactly the flows it used to share links with).
-  if (visit_stamp_.size() < flows_.size()) {
-    visit_stamp_.resize(flows_.size(), 0);
+  // Union of the dirty seeds' connected components: streams transitively
+  // sharing a live link with a seed. Seeds are included whether or not they
+  // are still active (a departure perturbs exactly the flows it used to
+  // share links with).
+  if (flow_stamp_.size() < flows_.size()) flow_stamp_.resize(flows_.size(), 0);
+  const std::uint32_t epoch = ++solve_epoch_;
+  comp_.clear();
+  seen_.clear();
+  used_.clear();
+  for (const StreamId seed : dirty_) {
+    auto& stamp = flow_stamp_[static_cast<std::size_t>(seed)];
+    if (stamp == epoch) continue;
+    stamp = epoch;
+    comp_.push_back(seed);
   }
-  const std::uint32_t epoch = ++visit_epoch_;
-  std::vector<StreamId> comp;
-  comp.push_back(seed);
-  visit_stamp_[static_cast<std::size_t>(seed)] = epoch;
-  for (std::size_t i = 0; i < comp.size(); ++i) {
-    const FlowState& f = flow(comp[i]);
+  dirty_.clear();
+  for (std::size_t i = 0; i < comp_.size(); ++i) {
+    const FlowState& f = flow(comp_[i]);
     if (f.closed) continue;
     for (std::size_t j = 0; j < f.links.size(); ++j) {
       if (!f.link_live[j]) continue;
-      for (StreamId t :
-           links_[static_cast<std::size_t>(f.links[j])].active) {
-        auto& stamp = visit_stamp_[static_cast<std::size_t>(t)];
+      const LinkId link = f.links[j];
+      const auto l = static_cast<std::size_t>(link);
+      if (slot_of_[l] < seen_.size() && seen_[slot_of_[l]] == link) continue;
+      slot_of_[l] = static_cast<std::uint32_t>(seen_.size());
+      seen_.push_back(link);
+      const std::vector<StreamId>& active = links_[l].active;
+      if (active.empty()) continue;
+      used_.push_back(link);
+      for (const StreamId t : active) {
+        auto& stamp = flow_stamp_[static_cast<std::size_t>(t)];
         if (stamp == epoch) continue;
         stamp = epoch;
-        comp.push_back(t);
+        comp_.push_back(t);
       }
     }
   }
-  std::sort(comp.begin(), comp.end());
-
-  std::vector<StreamId> act;
-  act.reserve(comp.size());
-  for (StreamId s : comp) {
-    if (flow(s).active) act.push_back(s);
+  std::sort(comp_.begin(), comp_.end());
+  act_.clear();
+  for (const StreamId s : comp_) {
+    if (flow(s).active) act_.push_back(s);
   }
 
-  // Progressive-filling max-min over the component's live links. Slots are
-  // assigned in ascending link id order, and ties in the fill level resolve
-  // to the lowest link id, so the allocation is a pure function of the
-  // component state.
-  std::vector<LinkId> slot_link;
-  std::vector<double> slot_cap;
-  std::vector<int> slot_count;
-  std::vector<std::vector<std::size_t>> flow_slots(act.size());
-  {
-    std::vector<std::int32_t> slot_of(links_.size(), -1);
-    std::vector<LinkId> used;
-    for (StreamId s : act) {
-      const FlowState& f = flow(s);
-      for (std::size_t j = 0; j < f.links.size(); ++j) {
-        if (f.link_live[j] && slot_of[static_cast<std::size_t>(f.links[j])] < 0) {
-          slot_of[static_cast<std::size_t>(f.links[j])] = 0;
-          used.push_back(f.links[j]);
-        }
-      }
-    }
-    std::sort(used.begin(), used.end());
-    slot_link = used;
-    slot_cap.resize(used.size());
-    slot_count.assign(used.size(), 0);
-    for (std::size_t i = 0; i < used.size(); ++i) {
-      slot_of[static_cast<std::size_t>(used[i])] =
-          static_cast<std::int32_t>(i);
-      slot_cap[i] = topo_->link(used[i]).rate.bytes_per_ns();
-    }
-    for (std::size_t fi = 0; fi < act.size(); ++fi) {
-      const FlowState& f = flow(act[fi]);
-      for (std::size_t j = 0; j < f.links.size(); ++j) {
-        if (!f.link_live[j]) continue;
-        const auto slot = static_cast<std::size_t>(
-            slot_of[static_cast<std::size_t>(f.links[j])]);
-        flow_slots[fi].push_back(slot);
-        ++slot_count[slot];
-      }
-    }
+  // Flat incidence for the water-fill. Slots are assigned in ascending link
+  // id order (ties in the fill level resolve to the lowest link id), so the
+  // allocation is a pure function of the component state. Every live link
+  // of an active flow in the component carries that flow, so it was seen
+  // and slotted above.
+  std::sort(used_.begin(), used_.end());
+  slot_cap_.resize(used_.size());
+  for (std::size_t i = 0; i < used_.size(); ++i) {
+    slot_of_[static_cast<std::size_t>(used_[i])] =
+        static_cast<std::uint32_t>(i);
+    slot_cap_[i] = topo_->link(used_[i]).rate.bytes_per_ns();
   }
-  const std::vector<int> initial_count = slot_count;
-
-  std::vector<double> fair(act.size(), 0.0);
-  std::vector<char> assigned(act.size(), 0);
-  for (;;) {
-    std::size_t best = slot_link.size();
-    double best_fill = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < slot_link.size(); ++i) {
-      if (slot_count[i] <= 0) continue;
-      const double fill =
-          std::max(slot_cap[i], 0.0) / static_cast<double>(slot_count[i]);
-      if (fill < best_fill) {
-        best_fill = fill;
-        best = i;
+  flow_begin_.clear();
+  flow_slots_.clear();
+  flow_begin_.push_back(0);
+  for (const StreamId s : act_) {
+    const FlowState& f = flow(s);
+    for (std::size_t j = 0; j < f.links.size(); ++j) {
+      if (f.link_live[j]) {
+        flow_slots_.push_back(slot_of_[static_cast<std::size_t>(f.links[j])]);
       }
     }
-    if (best == slot_link.size()) break;
-    for (std::size_t fi = 0; fi < act.size(); ++fi) {
-      if (assigned[fi]) continue;
-      const auto& slots = flow_slots[fi];
-      if (std::find(slots.begin(), slots.end(), best) == slots.end()) continue;
-      assigned[fi] = 1;
-      fair[fi] = best_fill;
-      for (std::size_t slot : slots) {
-        slot_cap[slot] -= best_fill;
-        --slot_count[slot];
-      }
-    }
+    flow_begin_.push_back(static_cast<std::uint32_t>(flow_slots_.size()));
   }
+  water_fill_.solve(WaterFillProblem{slot_cap_, flow_begin_, flow_slots_},
+                    fair_);
 
-  for (std::size_t fi = 0; fi < act.size(); ++fi) {
-    FlowState& f = flow(act[fi]);
+  for (std::size_t fi = 0; fi < act_.size(); ++fi) {
+    FlowState& f = flow(act_[fi]);
     double rate;
-    if (flow_slots[fi].empty()) {
+    if (flow_begin_[fi] == flow_begin_[fi + 1]) {
       // Every link this flow occupies is dead: the source keeps pacing into
       // the outage at line rate, exactly as the packet engine's pump keeps
       // injecting into a dead port (the bytes are recorded as losses when
       // each chunk retires).
       rate = line_rate_floor(f);
     } else {
-      rate = fair[fi];
+      rate = fair_[fi];
+      // Contended: some link is shared. Every active flow on a slotted link
+      // belongs to the component, so its active list is the slot's flows.
       bool contended = false;
-      for (std::size_t slot : flow_slots[fi]) {
-        if (initial_count[slot] >= 2) {
+      for (std::uint32_t j = flow_begin_[fi]; j < flow_begin_[fi + 1]; ++j) {
+        const LinkId l = used_[flow_slots_[j]];
+        if (links_[static_cast<std::size_t>(l)].active.size() >= 2) {
           contended = true;
           break;
         }
@@ -439,9 +458,9 @@ void FlowNetwork::recompute_component(StreamId seed) {
       }
     }
     if (rate != f.rate || !f.completion_scheduled) {
-      settle(act[fi], now);
+      settle(act_[fi], now);
       f.rate = rate;
-      schedule_completion(act[fi]);
+      schedule_completion(act_[fi]);
     }
   }
 }
@@ -458,12 +477,11 @@ void FlowNetwork::schedule_completion(StreamId s) {
   const auto dt = static_cast<SimTime>(std::ceil(remaining / f.rate));
   const SimTime at = queue_->now() + std::max<SimTime>(dt, 0);
   f.completion_scheduled = true;
-  queue_->at(at, [this, s, gen = f.gen] {
-    FlowState& g = flow(s);
-    if (g.closed || g.gen != gen) return;  // stale (rate changed since)
-    settle(s, queue_->now());
-    complete_head_chunk(s);
-  });
+  SimEvent ev;
+  ev.kind = SimEventKind::FlowComplete;
+  ev.a = s;
+  ev.epoch = f.gen;
+  queue_->at(at, ev);
 }
 
 void FlowNetwork::complete_head_chunk(StreamId s) {
@@ -482,7 +500,7 @@ void FlowNetwork::complete_head_chunk(StreamId s) {
   // construction and a chunk that never completes leaves no trace.
   const std::uint64_t nseg = chunk_segments(head.bytes);
   if (f.reduce && telem_) {
-    for (NodeId c : f.spec.contributors) {
+    for (NodeId c : f.contributors) {
       telem_->on_inject(s, head.chunk, head.bytes);
       telem_->on_reduce_contribute(s, c, head.chunk, head.bytes);
     }
@@ -494,7 +512,6 @@ void FlowNetwork::complete_head_chunk(StreamId s) {
     if (f.link_live[i]) {
       LinkAccum& a = links_[static_cast<std::size_t>(l)];
       a.serialized += head.bytes;
-      a.segments += nseg;
       total_bytes_ += head.bytes;
       segments_serialized_ += nseg;
       if (telem_) {
@@ -527,14 +544,12 @@ void FlowNetwork::complete_head_chunk(StreamId s) {
         f.up_offset + ri.prop_sum +
         static_cast<SimTime>(
             std::ceil(static_cast<double>(tail) * ri.inv_rate_sum));
-    DeliveryEvent ev;
-    ev.stream = s;
-    ev.tag = f.spec.tag;
-    ev.receiver = ri.node;
-    ev.chunk = head.chunk;
-    queue_->at(now + offset, [this, ev] {
-      if (on_delivery_) on_delivery_(ev);
-    });
+    SimEvent ev;
+    ev.kind = SimEventKind::FlowDeliver;
+    ev.a = s;
+    ev.b = ri.node;
+    ev.c = head.chunk;
+    queue_->at(now + offset, ev);
   }
 
   if (f.pending_head == f.pending.size()) {
@@ -550,30 +565,31 @@ void FlowNetwork::complete_head_chunk(StreamId s) {
 void FlowNetwork::refresh_live_set(StreamId s) {
   FlowState& f = flow(s);
   if (f.closed) return;
+  // A link going dead drops `s` from that link's active list, and the
+  // follow-up solve from `s` no longer reaches the flows left on it. Run the
+  // instant's pending solve while `s` still joins them.
+  if (f.active || is_dirty(s)) solve();
   settle(s, queue_->now());
 
   // Source-reachable subset of the compiled links over the current topology.
-  if (visit_stamp_.size() < static_cast<std::size_t>(topo_->node_count())) {
-    visit_stamp_.resize(static_cast<std::size_t>(topo_->node_count()), 0);
-  }
-  const std::uint32_t epoch = ++visit_epoch_;
+  const std::uint32_t epoch = ++node_epoch_;
   std::vector<NodeId> frontier;
-  frontier.push_back(f.spec.source);
-  visit_stamp_[static_cast<std::size_t>(f.spec.source)] = epoch;
+  frontier.push_back(f.source);
+  node_stamp_[static_cast<std::size_t>(f.source)] = epoch;
   // The compiled set is small; scan it per frontier node (flat and cheap).
   for (std::size_t i = 0; i < frontier.size(); ++i) {
     const NodeId at = frontier[i];
     for (LinkId l : f.fwd_links) {
       const Link& lk = topo_->link(l);
       if (lk.src != at || lk.failed) continue;
-      auto& stamp = visit_stamp_[static_cast<std::size_t>(lk.dst)];
+      auto& stamp = node_stamp_[static_cast<std::size_t>(lk.dst)];
       if (stamp == epoch) continue;
       stamp = epoch;
       frontier.push_back(lk.dst);
     }
   }
   const auto reached = [&](NodeId n) {
-    return visit_stamp_[static_cast<std::size_t>(n)] == epoch;
+    return node_stamp_[static_cast<std::size_t>(n)] == epoch;
   };
 
   bool lost_partial = false;
@@ -687,10 +703,11 @@ bool FlowNetwork::stream_uses_link(StreamId s, LinkId l) const {
 }
 
 StreamDiagnostic FlowNetwork::stream_diagnostic(StreamId s) const {
+  finish_instant();
   const FlowState& f = flow(s);
   StreamDiagnostic d;
   d.stream = s;
-  d.tag = f.spec.tag;
+  d.tag = f.tag;
   d.closed = f.closed;
   d.pump_blocked = f.frozen;
   d.pump_scheduled = f.completion_scheduled;
@@ -705,6 +722,7 @@ StreamDiagnostic FlowNetwork::stream_diagnostic(StreamId s) const {
 }
 
 double FlowNetwork::link_rate(LinkId l) const {
+  finish_instant();
   double sum = 0.0;
   for (StreamId s : links_[static_cast<std::size_t>(l)].active) {
     sum += flow(s).rate;

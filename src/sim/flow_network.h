@@ -10,14 +10,20 @@
 // share, exactly as the packet-level rate controllers do in steady state.
 //
 // Events fire only when something discrete happens — a chunk finishes, a
-// stream arrives or departs, a link fails or is repaired — and each such
-// event re-solves rates for the affected *connected component* only (streams
-// transitively sharing a link), never the whole fabric. Scheduled chunk
-// completions are invalidated lazily via per-stream generation counters, so
-// a rate change costs one reschedule, not a queue scan. The result is
-// O(receivers + links) work per chunk instead of O(segments x hops), which
-// is where the >= 20x event reduction in BENCH_sim.json's flow_fidelity
-// section comes from.
+// stream arrives or departs, a link fails or is repaired. Each such change
+// marks its stream dirty; one FlowSolve event at the end of the simulated
+// instant re-solves rates over the union of the dirty streams' *connected
+// components* (streams transitively sharing a link), never the whole fabric.
+// A PEEL collective opens and retires its streams together, so one solve
+// serves many changes. The rates equal those of solving after every change:
+// max-min over disjoint components is max-min over each alone, a rate set
+// mid-instant would last 0 ns, and settling at dt = 0 moves no bytes.
+// Scheduled chunk completions are invalidated lazily via per-stream
+// generation counters, so a rate change costs one reschedule, not a queue
+// scan. Completions, deliveries and solves are POD SimEvents dispatched to
+// this class as the queue's SimEventSink. The result is O(receivers + links)
+// work per chunk instead of O(segments x hops), which is where the >= 20x
+// event reduction in BENCH_sim.json's flow_fidelity section comes from.
 //
 // The byte-audit contract is identical to the packet engine's: all integer
 // telemetry for a chunk (inject, per-link enqueue+serialize, per-receiver
@@ -57,11 +63,12 @@
 #include "src/sim/data_plane.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/telemetry.h"
+#include "src/sim/water_fill.h"
 #include "src/topology/topology.h"
 
 namespace peel {
 
-class FlowNetwork final : public DataPlane {
+class FlowNetwork final : public DataPlane, public SimEventSink {
  public:
   FlowNetwork(const Topology& topo, const SimConfig& config, EventQueue& queue);
   ~FlowNetwork() override;
@@ -86,6 +93,9 @@ class FlowNetwork final : public DataPlane {
     return links_[static_cast<std::size_t>(l)].serialized;
   }
 
+  // --- SimEventSink (binds itself to the queue on construction) -----------
+  void on_sim_event(const SimEvent& ev) override;
+
   // --- engine surface -----------------------------------------------------
   [[nodiscard]] std::uint64_t segments_serialized() const noexcept {
     return segments_serialized_;
@@ -102,13 +112,18 @@ class FlowNetwork final : public DataPlane {
   [[nodiscard]] Bytes total_bytes_serialized() const noexcept {
     return total_bytes_;
   }
-  /// Max-min component re-solves performed (diagnostic).
+  /// Max-min solves performed, one per perturbed instant (diagnostic).
   [[nodiscard]] std::uint64_t rate_recomputes() const noexcept {
     return rate_recomputes_;
   }
+  /// Solve requests before coalescing: one per stream change (diagnostic).
+  [[nodiscard]] std::uint64_t solve_requests() const noexcept {
+    return solve_requests_;
+  }
 
   /// Current summed allocated rate on a directed link, in bytes/ns — one
-  /// point of the piecewise-constant utilization series.
+  /// point of the piecewise-constant utilization series. Runs a pending
+  /// solve first, so it never shows a half-solved instant.
   [[nodiscard]] double link_rate(LinkId l) const;
   /// ∫ rate dt over the run so far, in bytes. At drain this equals the
   /// audited link_bytes(l) (see the header comment and the property test).
@@ -141,7 +156,12 @@ class FlowNetwork final : public DataPlane {
   };
 
   struct FlowState {
-    StreamSpec spec;
+    // What outlives open_stream of the spec; the forwarding map and the
+    // receiver list are compiled into the link and receiver sets below.
+    NodeId source = kInvalidNode;
+    std::uint64_t tag = 0;
+    CnpMode cnp_mode = CnpMode::ReceiverTimer;
+    std::vector<NodeId> contributors;  ///< reduce streams only
     bool closed = false;
     bool reduce = false;
     /// Reduce stream hit a failure in its fused tree; rate pinned to 0
@@ -174,14 +194,15 @@ class FlowNetwork final : public DataPlane {
     double rate = 0.0;       ///< allocated rate, bytes/ns
     SimTime last_settle = 0;
     /// Bumped on every rate change / reschedule; a scheduled completion
-    /// whose generation no longer matches is stale and ignored.
-    std::uint64_t gen = 0;
+    /// whose generation no longer matches is stale and ignored. (It rides
+    /// in the 32-bit SimEvent epoch; a stale completion would need 2^32
+    /// reschedules of one stream in flight to alias.)
+    std::uint32_t gen = 0;
     bool completion_scheduled = false;
   };
 
   struct LinkAccum {
     Bytes serialized = 0;      ///< audited lump-sum bytes (chunk completion)
-    std::uint64_t segments = 0;
     double util_integral = 0.0;  ///< ∫ allocated rate dt, bytes
     std::vector<StreamId> active;  ///< active flows whose live set has this link
   };
@@ -204,12 +225,23 @@ class FlowNetwork final : public DataPlane {
   /// Adds/removes `s` from its live links' active lists.
   void attach(StreamId s);
   void detach(StreamId s);
-  /// Marks `s` active/inactive and re-solves its component.
+  /// Marks `s` active/inactive and requests a solve of its component.
   void activate(StreamId s);
   void deactivate(StreamId s);
-  /// Re-solves max-min rates for the connected component containing `seed`
-  /// (always settles and re-rates `seed` itself, active or not).
+  /// Marks `seed` dirty; the first request of an instant posts the FlowSolve
+  /// event that will re-rate the seed's component (seed included, active or
+  /// not) together with every other dirty seed's.
   void recompute_component(StreamId seed);
+  /// Runs the pending solve now, if any (the posted event then finds
+  /// nothing to do). Called before a change that shrinks a component without
+  /// re-rating the flows it leaves behind, so those keep exactly the rates
+  /// a solve after every change would have given them.
+  void solve();
+  /// True while `s` waits for the pending solve.
+  [[nodiscard]] bool is_dirty(StreamId s) const;
+  /// solve() for the rate readers: finishing the instant completes a
+  /// mutation that already happened, so the readers stay logically const.
+  void finish_instant() const;
   /// Fitted DCQCN utilization cap for a contended flow.
   [[nodiscard]] double utilization_cap(const FlowState& f) const;
   /// (Re)schedules the head-chunk completion event at the current rate.
@@ -234,14 +266,37 @@ class FlowNetwork final : public DataPlane {
   std::function<void(const DeliveryEvent&)> on_delivery_;
   std::unique_ptr<Telemetry> telem_;
 
-  /// Scratch for component BFS (epoch-stamped visited marks).
-  std::vector<std::uint32_t> visit_stamp_;
-  std::uint32_t visit_epoch_ = 0;
+  /// Streams changed since the last solve, and whether a FlowSolve event
+  /// is queued.
+  std::vector<StreamId> dirty_;
+  bool solve_posted_ = false;
+
+  // Solve arenas, reused across calls. The component BFS marks each flow
+  // (epoch stamp) and each link (sparse set: link l is seen iff
+  // seen_[slot_of_[l]] == l) once, so each link's active list is scanned
+  // once per solve; neither needs a reset between solves.
+  std::vector<std::uint32_t> flow_stamp_;
+  std::uint32_t solve_epoch_ = 0;
+  std::vector<std::uint32_t> slot_of_;  ///< index in seen_, then slot id
+  std::vector<LinkId> seen_;
+  std::vector<StreamId> comp_;
+  std::vector<StreamId> act_;
+  std::vector<LinkId> used_;
+  std::vector<double> slot_cap_;
+  std::vector<std::uint32_t> flow_begin_;
+  std::vector<std::uint32_t> flow_slots_;
+  std::vector<double> fair_;
+  WaterFill water_fill_;
+
+  /// Scratch for the live-set reachability walk (epoch-stamped nodes).
+  std::vector<std::uint32_t> node_stamp_;
+  std::uint32_t node_epoch_ = 0;
 
   Bytes total_bytes_ = 0;
   std::uint64_t segments_serialized_ = 0;
   std::uint64_t lost_segments_ = 0;
   std::uint64_t rate_recomputes_ = 0;
+  std::uint64_t solve_requests_ = 0;
 };
 
 }  // namespace peel

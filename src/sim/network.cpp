@@ -95,6 +95,9 @@ void Network::on_sim_event(const SimEvent& ev) {
       return;
     }
     case SimEventKind::None:
+    case SimEventKind::FlowComplete:
+    case SimEventKind::FlowDeliver:
+    case SimEventKind::FlowSolve:
       break;
   }
   throw std::logic_error("Network: unknown SimEvent kind");

@@ -83,19 +83,24 @@ NodeId Topology::tor_of_endpoint(NodeId endpoint) const {
 }
 
 void Topology::fail_duplex(LinkId l) {
-  links_[static_cast<std::size_t>(l)].failed = true;
-  links_[static_cast<std::size_t>(reverse_of(l))].failed = true;
+  set_failed(l, true);
+  set_failed(reverse_of(l), true);
 }
 
 void Topology::restore_duplex(LinkId l) {
-  links_[static_cast<std::size_t>(l)].failed = false;
-  links_[static_cast<std::size_t>(reverse_of(l))].failed = false;
+  set_failed(l, false);
+  set_failed(reverse_of(l), false);
 }
 
-std::size_t Topology::failed_link_count() const noexcept {
-  std::size_t n = 0;
-  for (const Link& l : links_) n += l.failed ? 1 : 0;
-  return n;
+void Topology::set_failed(LinkId l, bool failed) {
+  Link& link = links_[static_cast<std::size_t>(l)];
+  if (link.failed == failed) return;  // repeated fail/restore: no recount
+  link.failed = failed;
+  if (failed) {
+    ++failed_links_;
+  } else {
+    --failed_links_;
+  }
 }
 
 }  // namespace peel

@@ -126,14 +126,20 @@ class Topology {
   void fail_duplex(LinkId l);
   /// Restores both directions.
   void restore_duplex(LinkId l);
-  [[nodiscard]] std::size_t failed_link_count() const noexcept;
+  /// Failed directed links (O(1): kept by fail_duplex / restore_duplex).
+  [[nodiscard]] std::size_t failed_link_count() const noexcept {
+    return failed_links_;
+  }
 
  private:
+  void set_failed(LinkId l, bool failed);
+
   std::vector<Node> nodes_;
   std::vector<Link> links_;
   std::vector<std::vector<LinkId>> out_links_;
   std::vector<std::vector<LinkId>> in_links_;
   std::vector<NodeId> parent_;
+  std::size_t failed_links_ = 0;
 };
 
 }  // namespace peel

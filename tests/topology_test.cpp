@@ -47,6 +47,39 @@ TEST(Topology, FindLinkRespectsFailures) {
   EXPECT_EQ(t.failed_link_count(), 0u);
 }
 
+TEST(Topology, FailedLinkCountSurvivesRepeatedFailAndRestore) {
+  Topology t;
+  const NodeId a = t.add_node(Node{NodeKind::Tor, 0, 0});
+  const NodeId b = t.add_node(Node{NodeKind::Core, -1, 0});
+  const NodeId c = t.add_node(Node{NodeKind::Core, -1, 1});
+  const LinkId ab = t.add_duplex_link(a, b, 100_gbps);
+  const LinkId ac = t.add_duplex_link(a, c, 100_gbps);
+  const auto scanned = [&t] {
+    std::size_t n = 0;
+    for (LinkId l = 0; l < static_cast<LinkId>(t.link_count()); ++l) {
+      n += t.link(l).failed ? 1 : 0;
+    }
+    return n;
+  };
+
+  t.fail_duplex(ab);
+  t.fail_duplex(ab);      // same pair again
+  t.fail_duplex(ab + 1);  // and through its other direction
+  EXPECT_EQ(t.failed_link_count(), 2u);
+  t.fail_duplex(ac);
+  EXPECT_EQ(t.failed_link_count(), 4u);
+  EXPECT_EQ(t.failed_link_count(), scanned());
+
+  t.restore_duplex(ab);
+  t.restore_duplex(ab + 1);  // already restored
+  EXPECT_EQ(t.failed_link_count(), 2u);
+  t.restore_duplex(ac);
+  t.restore_duplex(ac);
+  t.restore_duplex(ab);  // restoring a healthy pair never goes below zero
+  EXPECT_EQ(t.failed_link_count(), 0u);
+  EXPECT_EQ(t.failed_link_count(), scanned());
+}
+
 TEST(Topology, LiveNeighborsSkipFailed) {
   Topology t;
   const NodeId a = t.add_node(Node{NodeKind::Tor, 0, 0});
