@@ -40,8 +40,8 @@
 //                           collective (Optimal and symmetric PEEL; default 1)
 //     --no-plan-cache       disable the control-plane TreePlanCache (A/B)
 //     --shards=N            pod-sharded parallel engine with N worker threads
-//                           (results are byte-identical for any N >= 1;
-//                           0 = classic single-queue engine)
+//                           (N >= 1; results are byte-identical for any N;
+//                           without the flag: classic single-queue engine)
 //     --fidelity=MODE       packet (default) = segment-granular simulation;
 //                           flow = fluid max-min fast path (orders of
 //                           magnitude fewer events, CCT within the stated
@@ -80,11 +80,16 @@
 //            --flap-mtbf=2000 --flap-mttr=500 --flap-links=2
 //   e.g. scenario_cli optimal broadcast 16 1 30 200 --workload --churn=2
 //            --capacity=64 --audit --watchdog
+//
+//   Exit status: 0 on success; 2 on invalid input (printed as
+//   `scenario_cli: <reason>`); 1 on any other failure, including unfinished
+//   collectives.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -203,6 +208,10 @@ std::vector<const char*> parse_flags(int argc, char** argv, Flags& flags) {
       flags.no_plan_cache = true;
     } else if (flag_value(arg, "--shards", &value)) {
       flags.shards = std::atoi(value);
+      if (flags.shards < 1) {
+        throw std::invalid_argument(
+            "--shards must be >= 1 (omit it for the single-queue engine)");
+      }
     } else if (flag_value(arg, "--fidelity", &value)) {
       try {
         flags.fidelity = parse_fidelity(value);
@@ -380,19 +389,7 @@ int run_workload_mode(const Flags& flags,
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  Flags flags;
-  const std::vector<const char*> args = parse_flags(argc, argv, flags);
-  if (flags.workload) {
-    try {
-      return run_workload_mode(flags, args);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 1;
-    }
-  }
+int run_scenario_mode(Flags flags, const std::vector<const char*>& args) {
   const auto arg = [&args](std::size_t i) -> const char* {
     return i < args.size() ? args[i] : nullptr;
   };
@@ -588,4 +585,24 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+// Invalid input (an unknown scheme/collective pairing, a non-positive size,
+// a negative load, a bad flag value) surfaces as std::logic_error from the
+// harness's own checks: report it and exit 2. Any other failure exits 1.
+int main(int argc, char** argv) {
+  try {
+    Flags flags;
+    const std::vector<const char*> args = parse_flags(argc, argv, flags);
+    return flags.workload ? run_workload_mode(flags, args)
+                          : run_scenario_mode(flags, args);
+  } catch (const std::logic_error& e) {
+    std::fprintf(stderr, "scenario_cli: %s\n", e.what());
+    return 2;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
 }

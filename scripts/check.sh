@@ -17,9 +17,10 @@
 # of the fresh BENCH_sim.json columns against the committed copy
 # (scripts/perf_diff.sh), an audited flow-fidelity smoke (scenario_cli
 # --fidelity=flow, with a packet-vs-flow byte-totals cross-check), an
-# audited flow-fidelity PEEL workload with churn, and an audited
-# in-network AllReduce smoke through scenario_cli. It gates on
-# determinism (perf_suite --check), not on speed.
+# audited flow-fidelity PEEL workload with churn, an audited in-network
+# AllReduce smoke through scenario_cli, and shard-invariance smokes (PEEL,
+# Ring and in-network AllReduce at 1 vs 4 sharded workers, diffed). It
+# gates on determinism (perf_suite --check and the diffs), not on speed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -69,6 +70,15 @@ if [[ "${PEEL_CHECK_PERF:-0}" != "0" ]]; then
       --churn=1 --audit --watchdog --fidelity=flow
   echo "== in-network AllReduce smoke (scenario_cli innet, audited) =="
   ./build-perf/examples/scenario_cli innet allreduce 16 8 30 5 --audit --watchdog
+  echo "== shard-invariance smokes (scenario_cli --shards=1 vs 4, audited) =="
+  for cell in "peel broadcast" "ring broadcast" "innet allreduce"; do
+    read -r scheme collective <<< "${cell}"
+    for workers in 1 4; do
+      ./build-perf/examples/scenario_cli "${scheme}" "${collective}" 64 8 30 10 \
+          --audit --watchdog --shards="${workers}" > "/tmp/peel_shards${workers}.txt"
+    done
+    diff /tmp/peel_shards1.txt /tmp/peel_shards4.txt
+  done
   echo "== multi-tenant workload smoke (scenario_cli --workload, audited) =="
   ./build-perf/examples/scenario_cli --workload optimal broadcast 16 1 30 40 \
       --churn=1 --capacity=8 --audit --watchdog

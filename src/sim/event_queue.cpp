@@ -17,25 +17,15 @@ void EventQueue::check_not_past(SimTime t) const {
 void EventQueue::at(SimTime t, Action fn) {
   check_not_past(t);
   acts_.push_back(ClosureEntry{t, next_seq_++, std::move(fn)});
-  std::push_heap(acts_.begin(), acts_.end(), ClosureLater{});
+  std::push_heap(acts_.begin(), acts_.end(), Later{});
 }
 
 void EventQueue::insert_slow(const PodEntry& entry) {
   // pod_count_ was already incremented by the caller.
-  if (pod_count_ == 1) {
-    // First pod after a drain: re-center the ladder just past it so the
-    // active window covers the entry and its near future.
-    shift_ = kDefaultShift;
-    bucket_lo_ = (entry.t >> shift_) + 1;
-    bucket_hi_ = bucket_lo_ + kBuckets;
-    window_end_ = static_cast<SimTime>(bucket_lo_) << shift_;
-    cur_.push_back(entry);  // heap of one
-    return;
-  }
   const std::int64_t bn = entry.t >> shift_;
-  if (bn < bucket_hi_) {
+  if (pod_count_ > 1 && bn < bucket_hi_) {
     // Boundary hardening: an entry reaching this branch sits at or past
-    // window_end_ (the hot path claims everything below it), so its bucket
+    // window_end_ (side_ claims everything below it), so its bucket
     // number can never trail the ladder's low edge. If it did, the ring
     // index (bn & kBucketMask) would alias a future bucket and the entry
     // would fire out of order — fail loudly instead of silently reordering.
@@ -47,9 +37,10 @@ void EventQueue::insert_slow(const PodEntry& entry) {
     }
     rungs_[static_cast<std::size_t>(bn & kBucketMask)].push_back(entry);
     ++rung_count_;
-  } else {
-    overflow_.push_back(entry);
+    return;
   }
+  overflow_.push_back(entry);
+  if (pod_count_ == 1) rebase();  // first pod after a drain: re-center on it
 }
 
 void EventQueue::advance() {
@@ -59,31 +50,49 @@ void EventQueue::advance() {
           rungs_[static_cast<std::size_t>(bucket_lo_ & kBucketMask)];
       ++bucket_lo_;
       window_end_ = static_cast<SimTime>(bucket_lo_) << shift_;
-      if (!bucket.empty()) {
-        rung_count_ -= bucket.size();
-        // Swap rather than move: cur_'s spent capacity is recycled as the
-        // (now empty) bucket's storage.
-        cur_.swap(bucket);
-        std::make_heap(cur_.begin(), cur_.end(), PodLater{});
-        return;
-      }
+      if (bucket.empty()) continue;
+      rung_count_ -= bucket.size();
+      head_ = 0;
+      sort_run(bucket);
+      return;
     }
     rebase();
   }
 }
 
-void EventQueue::rebase() {
-  SimTime lo = overflow_.front().t;
-  SimTime hi = lo;
-  for (const PodEntry& e : overflow_) {
-    if (e.t < lo) lo = e.t;
-    if (e.t > hi) hi = e.t;
+void EventQueue::sort_run(std::vector<PodEntry>& bucket) {
+  // LSD radix sort: a stable counting sort per 6-bit digit of the offset in
+  // the bucket (higher digits are equal across it). Entries arrive in seq
+  // order, so the result is exact (t, seq) order. Passes ping-pong between
+  // run_ and scratch_; no capacity migrates into the rungs.
+  const std::vector<PodEntry>* in = &bucket;
+  for (int bit = 0; bit < shift_; bit += kDefaultShift) {
+    const auto digit = [bit](const PodEntry& e) {
+      return static_cast<std::size_t>(e.t >> bit) & ((1u << kDefaultShift) - 1);
+    };
+    std::array<std::uint32_t, (1 << kDefaultShift) + 1> next{};
+    for (const PodEntry& e : *in) ++next[digit(e) + 1];
+    if (next[digit(in->front()) + 1] == in->size()) continue;  // a burst
+    for (std::size_t i = 1; i < next.size(); ++i) next[i] += next[i - 1];
+    std::vector<PodEntry>& out = in == &run_ ? scratch_ : run_;
+    out.resize(in->size());
+    for (const PodEntry& e : *in) out[next[digit(e)]++] = e;
+    in = &out;
   }
+  if (in == &bucket) run_.assign(bucket.begin(), bucket.end());
+  if (in == &scratch_) run_.swap(scratch_);
+  bucket.clear();
+}
+
+void EventQueue::rebase() {
+  const auto [lo, hi] = std::minmax_element(
+      overflow_.begin(), overflow_.end(),
+      [](const PodEntry& a, const PodEntry& b) { return a.t < b.t; });
   // Widen the stride until the span fits the ring; entries in the ragged
   // last bucket simply stay in overflow for the next rebase.
   shift_ = kDefaultShift;
-  while (((hi - lo) >> shift_) >= kBuckets) ++shift_;
-  bucket_lo_ = lo >> shift_;
+  while (((hi->t - lo->t) >> shift_) >= kBuckets) ++shift_;
+  bucket_lo_ = lo->t >> shift_;
   bucket_hi_ = bucket_lo_ + kBuckets;
   window_end_ = static_cast<SimTime>(bucket_lo_) << shift_;
   std::vector<PodEntry> rest;
@@ -99,36 +108,33 @@ void EventQueue::rebase() {
   overflow_ = std::move(rest);
 }
 
-bool EventQueue::peek_next(SimTime& t) {
-  const bool have_pod = pod_count_ != 0;
-  if (have_pod && cur_.empty()) advance();
-  if (have_pod && !acts_.empty()) {
-    t = std::min(cur_.front().t, acts_.front().t);
-  } else if (have_pod) {
-    t = cur_.front().t;
-  } else if (!acts_.empty()) {
-    t = acts_.front().t;
-  } else {
-    return false;
-  }
+const EventQueue::PodEntry* EventQueue::next_pod() {
+  if (pod_count_ == 0) return nullptr;
+  if (head_ == run_.size() && side_.empty()) advance();
+  const bool run_first = head_ < run_.size() &&
+                         (side_.empty() || Later{}(side_.front(), run_[head_]));
+  const PodEntry* pod = run_first ? &run_[head_] : &side_.front();
+  return acts_.empty() || Later{}(acts_.front(), *pod) ? pod : nullptr;
+}
+
+bool EventQueue::next_event_time(SimTime& t) {
+  const PodEntry* pod = next_pod();
+  if (pod == nullptr && acts_.empty()) return false;
+  t = pod != nullptr ? pod->t : acts_.front().t;
   return true;
 }
 
 bool EventQueue::step() {
-  const bool have_pod = pod_count_ != 0;
-  if (have_pod && cur_.empty()) advance();
-  bool take_pod = have_pod;
-  if (have_pod && !acts_.empty()) {
-    const PodEntry& p = cur_.front();
-    const ClosureEntry& c = acts_.front();
-    take_pod = p.t != c.t ? p.t < c.t : p.seq < c.seq;
-  } else if (!have_pod && acts_.empty()) {
-    return false;
-  }
-  if (take_pod) {
-    std::pop_heap(cur_.begin(), cur_.end(), PodLater{});
-    const PodEntry entry = cur_.back();
-    cur_.pop_back();
+  const PodEntry* pod = next_pod();
+  if (pod == nullptr && acts_.empty()) return false;
+  if (pod != nullptr) {
+    const PodEntry entry = *pod;
+    if (!side_.empty() && pod == side_.data()) {
+      std::pop_heap(side_.begin(), side_.end(), Later{});
+      side_.pop_back();
+    } else {
+      ++head_;
+    }
     --pod_count_;
     now_ = entry.t;
     ++processed_;
@@ -137,7 +143,7 @@ bool EventQueue::step() {
     }
     sink_->on_sim_event(entry.ev);
   } else {
-    std::pop_heap(acts_.begin(), acts_.end(), ClosureLater{});
+    std::pop_heap(acts_.begin(), acts_.end(), Later{});
     ClosureEntry entry = std::move(acts_.back());
     acts_.pop_back();
     now_ = entry.t;
@@ -148,19 +154,18 @@ bool EventQueue::step() {
 }
 
 void EventQueue::run() {
-  while (step()) {
-  }
+  while (step()) {}
 }
 
 void EventQueue::run_until(SimTime t) {
   SimTime next = 0;
-  while (peek_next(next) && next <= t) step();
+  while (next_event_time(next) && next <= t) step();
   if (now_ < t) now_ = t;
 }
 
 void EventQueue::run_window(SimTime end) {
   SimTime next = 0;
-  while (peek_next(next) && next < end) step();
+  while (next_event_time(next) && next < end) step();
 }
 
 }  // namespace peel

@@ -18,16 +18,13 @@
 //     PODs performs no heap allocation and no std::function indirection on
 //     the hot path.
 //
-// POD storage is a two-tier ladder (calendar) queue instead of one global
-// binary heap:
+// POD storage is a ladder (calendar) queue (docs/performance.md):
 //
-//   - `cur_` is a min-heap over the active window [now, window_end). Only
-//     events this close to the clock pay O(log n) sift costs, and n is the
-//     window occupancy, not the total pending count.
 //   - `rungs_` is a ring of kBuckets fixed-width buckets covering
 //     [window_end, window_end + kBuckets << shift). Scheduling into a bucket
-//     is an O(1) push_back; a bucket is heapified only when the clock
-//     reaches it (advance()).
+//     is an O(1) push_back; a bucket is sorted only when the clock reaches
+//     it, becoming `run_`, the active window [now, window_end), popped in
+//     O(1) through a head index. Inserts INTO it go to the small heap side_.
 //   - `overflow_` holds everything past the ladder, unsorted. When the
 //     ladder drains, rebase() re-centers it on the overflow span, widening
 //     the bucket stride (shift_) until the span fits — correctness never
@@ -53,8 +50,8 @@ enum class SimEventKind : std::uint8_t {
   None = 0,   ///< entry carries a boxed Action instead
   Pump,       ///< inject the next paced segment of stream `a`
   FinishTx,   ///< link `a` finished serializing its head segment (epoch)
-  Arrive,     ///< segment (stream b, chunk c, bytes d, ingress e, marked
-              ///< flag) reaches the far end of link `a` (epoch)
+  Arrive,     ///< segment (stream b, chunk c, bytes d, marked flag)
+              ///< reaches the far end of link `a`, tree slot e (epoch)
   CnpRate,    ///< congestion notification reaches stream `a`'s sender
   SampleTick, ///< telemetry time-series sampler
   PfcPause,   ///< cross-domain PFC pause frame reaches link `a`'s sender
@@ -109,8 +106,8 @@ class EventQueue {
     const PodEntry entry{t, next_seq_++, ev};
     ++pod_count_;
     if (pod_count_ > 1 && t < window_end_) {
-      cur_.push_back(entry);
-      std::push_heap(cur_.begin(), cur_.end(), PodLater{});
+      side_.push_back(entry);
+      std::push_heap(side_.begin(), side_.end(), Later{});
     } else {
       insert_slow(entry);
     }
@@ -143,7 +140,7 @@ class EventQueue {
 
   /// Earliest pending timestamp across every tier; false when empty. (The
   /// sharded engine's window loop takes the min over all domain queues.)
-  [[nodiscard]] bool next_event_time(SimTime& t) { return peek_next(t); }
+  [[nodiscard]] bool next_event_time(SimTime& t);
 
   /// Runs events with timestamps strictly BEFORE `end` (a conservative PDES
   /// window), leaving the clock at the last processed event. Unlike
@@ -159,27 +156,22 @@ class EventQueue {
   }
 
  private:
-  /// Hot-tier entry: 48 bytes, trivially copyable — a heap sift is a plain
-  /// memcpy-class move, unlike the retired Entry that dragged a dead
-  /// std::function through every swap.
+  /// Hot-tier entry: 48 bytes, trivially copyable — sorting and sifting it
+  /// is a plain memcpy-class move.
   struct PodEntry {
     SimTime t;
     std::uint64_t seq;
     SimEvent ev;
-  };
-  struct PodLater {
-    bool operator()(const PodEntry& a, const PodEntry& b) const noexcept {
-      return a.t != b.t ? a.t > b.t : a.seq > b.seq;
-    }
   };
   struct ClosureEntry {
     SimTime t;
     std::uint64_t seq;
     Action fn;
   };
-  struct ClosureLater {
-    bool operator()(const ClosureEntry& a,
-                    const ClosureEntry& b) const noexcept {
+  /// (t, seq) "fires after": the heap order, and the merge order of tiers.
+  struct Later {
+    template <class A, class B>
+    bool operator()(const A& a, const B& b) const noexcept {
       return a.t != b.t ? a.t > b.t : a.seq > b.seq;
     }
   };
@@ -189,32 +181,37 @@ class EventQueue {
   /// Default bucket stride: 2^6 ns = 64 ns per bucket, ~33 µs ladder span.
   /// Tuned on the perf_suite reference cell: segment serialization and
   /// propagation delays (0.1–5 µs) land in rungs as O(1) push_backs instead
-  /// of active-heap sifts; slower timers (telemetry sampler, throttled
+  /// of active-window inserts; slower timers (telemetry sampler, throttled
   /// pacing) overflow and are folded back in by the periodic rebase.
   static constexpr int kDefaultShift = 6;
 
   void check_not_past(SimTime t) const;
   /// Cold insert paths: first pod (ladder reset), rung push, or overflow.
   void insert_slow(const PodEntry& entry);
-  /// Refills cur_ from the next non-empty rung (rebasing from overflow when
-  /// the ladder is empty). Precondition: cur_ empty, pod_count_ > 0.
+  /// Earliest pending POD if it fires before every closure, else nullptr.
+  const PodEntry* next_pod();
+  /// Refills run_ from the next non-empty rung (rebasing from overflow when
+  /// the ladder is empty). Precondition: run_ spent, side_ empty, pods left.
   void advance();
-  /// Re-centers the ladder on the overflow span. Precondition: cur_ and all
-  /// rungs empty, overflow_ non-empty.
+  /// Moves a rung's entries (in seq order) into run_, sorted by (t, seq).
+  void sort_run(std::vector<PodEntry>& bucket);
+  /// Re-centers the ladder on the overflow span. Precondition: run_, side_
+  /// and all rungs empty, overflow_ non-empty.
   void rebase();
-  /// Earliest pending (t, seq); false when empty. May heapify a rung.
-  bool peek_next(SimTime& t);
 
   // POD tiers. Invariants while pod_count_ > 0:
-  //   cur_ entries    : t < window_end_
-  //   rung entries    : window_end_ <= t < bucket_hi_ << shift_
-  //                     in rung (t >> shift_) & kBucketMask
-  //   overflow entries: t >= bucket_hi_ << shift_
-  // so cur_.front() (after advance()) is the global POD minimum. bucket_hi_
-  // is pinned between rebases: the ladder frontier must NOT slide forward as
-  // bucket_lo_ advances, or a fresh rung insert could land past an entry
-  // already parked in overflow and fire before it.
-  std::vector<PodEntry> cur_;
+  //   run_[head_..], side_: t < window_end_
+  //   rung entries        : window_end_ <= t < bucket_hi_ << shift_, in seq
+  //                         order in rung (t >> shift_) & kBucketMask
+  //   overflow entries    : t >= bucket_hi_ << shift_, in seq order
+  // so the earlier of run_[head_] and side_'s top is the POD minimum.
+  // bucket_hi_ is pinned between rebases: the ladder frontier must NOT
+  // slide forward as bucket_lo_ advances, or a fresh rung insert could land
+  // past an entry already parked in overflow and fire before it.
+  std::vector<PodEntry> run_;
+  std::size_t head_ = 0;
+  std::vector<PodEntry> side_;
+  std::vector<PodEntry> scratch_;  ///< sort_run()'s ping-pong buffer
   std::array<std::vector<PodEntry>, kBuckets> rungs_;
   std::vector<PodEntry> overflow_;
   std::size_t pod_count_ = 0;
@@ -222,7 +219,7 @@ class EventQueue {
   int shift_ = kDefaultShift;
   std::int64_t bucket_lo_ = 0;   ///< first rung's absolute bucket number
   std::int64_t bucket_hi_ = 0;   ///< ladder frontier (absolute bucket number)
-  SimTime window_end_ = 0;       ///< cur_ covers [now, window_end_)
+  SimTime window_end_ = 0;       ///< run_ and side_ cover [now, window_end_)
 
   /// Control-plane closures: rare, so a plain binary heap is fine.
   std::vector<ClosureEntry> acts_;

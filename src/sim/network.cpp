@@ -55,7 +55,8 @@ void Network::on_sim_event(const SimEvent& ev) {
       finish_tx(ev.a, ev.epoch);
       return;
     case SimEventKind::Arrive:
-      arrive(ev.a, Segment{ev.b, ev.c, ev.d, ev.e, ev.flag}, ev.epoch);
+      arrive(ev.a, Segment{ev.b, ev.c, ev.d, kInvalidLink, ev.e, ev.flag},
+             ev.epoch);
       return;
     case SimEventKind::CnpRate: {
       auto& st = streams_[static_cast<std::size_t>(ev.a)];
@@ -139,7 +140,7 @@ StreamDiagnostic Network::stream_diagnostic(StreamId s) const {
   const auto& st = streams_[static_cast<std::size_t>(s)];
   StreamDiagnostic d;
   d.stream = s;
-  d.tag = st.spec.tag;
+  d.tag = st.tag;
   d.closed = st.closed;
   d.pump_blocked = st.pump_blocked;
   d.pump_scheduled = st.pump_scheduled;
@@ -207,6 +208,9 @@ StreamId Network::open_stream(StreamSpec spec) {
   const auto id = static_cast<StreamId>(streams_.size());
   const std::size_t node_count = topo_->node_count();
   StreamState st;
+  st.source = spec.source;
+  st.tag = spec.tag;
+  st.cnp_mode = spec.cnp_mode;
   const bool reduce = !spec.contributors.empty();
   if (!reduce) {
     // Reduce streams pace per contributor instead; spec.source is the pivot
@@ -217,43 +221,59 @@ StreamId Network::open_stream(StreamSpec spec) {
         Dcqcn(config_.dcqcn, line, spec.cnp_mode, config_.sender_guard_interval);
   }
 
-  // Compile the forwarding map into CSR form: count out-degrees, prefix-sum
-  // into offsets, then drop each node's out-links (in spec order) into its
-  // slice. arrive() then replicates with two array reads and no hashing.
-  st.fwd_offset.assign(node_count + 1, 0);
-  std::size_t total_out = 0;
+  // Number the tree slots: every node the forward map names (its keys and
+  // their out-links' far ends), ascending. Receivers are deliberately left
+  // out — sharded replicas filter them per domain, and they must all agree
+  // on the numbering.
+  std::vector<NodeId> tree;
   for (const auto& [node, outs] : spec.forward) {
     if (node < 0 || static_cast<std::size_t>(node) >= node_count) {
       throw std::invalid_argument("stream forward map names an unknown node");
     }
-    st.fwd_offset[static_cast<std::size_t>(node) + 1] =
-        static_cast<std::int32_t>(outs.size());
-    total_out += outs.size();
+    tree.push_back(node);
+    for (LinkId l : outs) tree.push_back(topo_->link(l).dst);
   }
-  for (std::size_t n = 0; n < node_count; ++n) {
-    st.fwd_offset[n + 1] += st.fwd_offset[n];
-  }
-  st.fwd_links.resize(total_out);
+  std::sort(tree.begin(), tree.end());
+  tree.erase(std::unique(tree.begin(), tree.end()), tree.end());
+  const auto slot_of = [&tree](NodeId n) {
+    const auto it = std::lower_bound(tree.begin(), tree.end(), n);
+    return it != tree.end() && *it == n
+               ? static_cast<std::int32_t>(it - tree.begin())
+               : std::int32_t{-1};
+  };
+  // Each node's out-links go into one flat array, in spec order, tagged
+  // with their far end's slot. arrive() then replicates with array reads
+  // and no hashing.
+  st.slots.resize(tree.size());
   for (const auto& [node, outs] : spec.forward) {
-    std::copy(outs.begin(), outs.end(),
-              st.fwd_links.begin() +
-                  st.fwd_offset[static_cast<std::size_t>(node)]);
+    TreeSlot& ts = st.slots[static_cast<std::size_t>(slot_of(node))];
+    ts.out_begin = static_cast<std::int32_t>(st.fwd.size());
+    for (LinkId l : outs) {
+      st.fwd.push_back(OutLink{l, slot_of(topo_->link(l).dst)});
+    }
+    ts.out_end = static_cast<std::int32_t>(st.fwd.size());
   }
+  st.src_slot = slot_of(spec.source);
 
-  // Dense receiver index (deduplicated, first occurrence wins).
-  st.recv_index.assign(node_count, -1);
+  // Dense receiver index (deduplicated, first occurrence wins). Receivers
+  // off the tree can never be delivered to; they only count (once each).
+  std::int32_t reached = 0;
+  std::vector<NodeId> off_tree;
   for (NodeId r : spec.receivers) {
     if (r < 0 || static_cast<std::size_t>(r) >= node_count) {
       throw std::invalid_argument("stream receiver list names an unknown node");
     }
-    auto& slot = st.recv_index[static_cast<std::size_t>(r)];
+    const std::int32_t slot = slot_of(r);
     if (slot < 0) {
-      slot = static_cast<std::int32_t>(st.recv_nodes.size());
-      st.recv_nodes.push_back(r);
+      off_tree.push_back(r);
+    } else if (st.slots[static_cast<std::size_t>(slot)].recv < 0) {
+      st.slots[static_cast<std::size_t>(slot)].recv = reached++;
     }
   }
-  st.progress.resize(st.recv_nodes.size());
-  st.last_cnp.assign(st.recv_nodes.size(), kMinCnp);
+  std::sort(off_tree.begin(), off_tree.end());
+  off_tree.erase(std::unique(off_tree.begin(), off_tree.end()), off_tree.end());
+  st.progress.resize(static_cast<std::size_t>(reached) + off_tree.size());
+  st.last_cnp.assign(static_cast<std::size_t>(reached), kMinCnp);
 
   if (reduce) {
     if (!spec.contributor_local.empty() &&
@@ -262,17 +282,15 @@ StreamId Network::open_stream(StreamSpec spec) {
           "contributor_local mask must match contributors");
     }
     // The forward map is the down multicast tree; contributions climb the
-    // exact mirror of the same links. Invert it once: node -> the one
+    // exact mirror of the same links. Invert it once: slot -> the one
     // forward link pointing at it.
-    std::unordered_map<NodeId, LinkId> in_link;
-    in_link.reserve(st.fwd_links.size());
-    for (const auto& [node, outs] : spec.forward) {
-      for (LinkId l : outs) {
-        if (!in_link.try_emplace(topo_->link(l).dst, l).second) {
-          throw std::invalid_argument(
-              "reduce stream forward map is not a tree");
-        }
+    std::vector<LinkId> in_link(st.slots.size(), kInvalidLink);
+    for (const OutLink& o : st.fwd) {
+      LinkId& in = in_link[static_cast<std::size_t>(o.slot)];
+      if (in != kInvalidLink) {
+        throw std::invalid_argument("reduce stream forward map is not a tree");
       }
+      in = o.link;
     }
     // One paced injector per contributing endpoint, each rate-limited
     // against the first fabric link of its own up-path (the mirror of the
@@ -283,27 +301,29 @@ StreamId Network::open_stream(StreamSpec spec) {
       inj.node = spec.contributors[i];
       inj.local =
           spec.contributor_local.empty() || spec.contributor_local[i] != 0;
-      const auto in_it = in_link.find(inj.node);
-      if (in_it == in_link.end()) {
+      const std::int32_t cs = slot_of(inj.node);
+      if (cs < 0 || in_link[static_cast<std::size_t>(cs)] == kInvalidLink) {
         throw std::invalid_argument(
             "reduce contributor is not in the down-tree");
       }
-      const auto cn = static_cast<std::size_t>(inj.node);
-      if (st.fwd_offset[cn] != st.fwd_offset[cn + 1]) {
+      const TreeSlot& leaf = st.slots[static_cast<std::size_t>(cs)];
+      if (leaf.out_begin != leaf.out_end) {
         throw std::invalid_argument(
             "reduce contributor is an interior node of the down-tree; "
             "in-network combining at an injecting endpoint is not modeled");
       }
-      inj.up_link = topo_->reverse_of(in_it->second);
+      inj.up_link = topo_->reverse_of(in_link[static_cast<std::size_t>(cs)]);
+      inj.up_slot = slot_of(topo_->link(inj.up_link).dst);
       // The rate limiter physically sits at the NIC: walk through any
       // leading NVLink mirror hop(s) and pace against the first
       // fabric-facing up-link (source_line_rate's reduce twin).
       LinkId pace = inj.up_link;
       for (int depth = 0;
            depth < 4 && topo_->link(pace).kind == LinkKind::NvLink; ++depth) {
-        const auto up = in_link.find(topo_->link(pace).dst);
-        if (up == in_link.end()) break;  // pure-NVLink path: no NIC to pace at
-        pace = topo_->reverse_of(up->second);
+        const LinkId up = in_link[static_cast<std::size_t>(
+            slot_of(topo_->link(pace).dst))];
+        if (up == kInvalidLink) break;  // pure-NVLink path: no NIC to pace at
+        pace = topo_->reverse_of(up);
       }
       const double line = topo_->link(pace).rate.bytes_per_ns();
       inj.cc = Dcqcn(config_.dcqcn, line, spec.cnp_mode,
@@ -315,36 +335,30 @@ StreamId Network::open_stream(StreamSpec spec) {
     // chunk's bytes until every mirrored child link has delivered them, then
     // forwards the combined frontier up its own mirrored in-link — or, at
     // the pivot (spec.source, the only interior node with no in-link),
-    // launches it onto the forward fan-out. Node order and child order are
-    // canonicalized by sorting, so combiner indices do not depend on the
-    // forward map's iteration order.
-    std::vector<NodeId> combine_nodes;
-    combine_nodes.reserve(spec.forward.size());
-    for (const auto& [node, outs] : spec.forward) {
-      if (!outs.empty()) combine_nodes.push_back(node);
-    }
-    std::sort(combine_nodes.begin(), combine_nodes.end());
-    st.combiner_of_node.assign(node_count, -1);
-    st.combiners.reserve(combine_nodes.size());
+    // launches it onto the forward fan-out. Slots ascend by node and child
+    // order is canonicalized by sorting, so combiner indices do not depend
+    // on the forward map's iteration order.
     bool pivot_seen = false;
-    for (NodeId n : combine_nodes) {
+    for (std::size_t s = 0; s < st.slots.size(); ++s) {
+      TreeSlot& ts = st.slots[s];
+      if (ts.out_begin == ts.out_end) continue;
       ReduceCombiner cb;
-      cb.node = n;
-      cb.child_links.reserve(spec.forward.at(n).size());
-      for (LinkId l : spec.forward.at(n)) {
-        cb.child_links.push_back(topo_->reverse_of(l));
+      cb.node = tree[s];
+      for (std::int32_t i = ts.out_begin; i < ts.out_end; ++i) {
+        cb.child_links.push_back(
+            topo_->reverse_of(st.fwd[static_cast<std::size_t>(i)].link));
       }
       std::sort(cb.child_links.begin(), cb.child_links.end());
-      if (const auto it = in_link.find(n); it != in_link.end()) {
-        cb.up_link = topo_->reverse_of(it->second);
-      } else if (n == spec.source) {
+      if (in_link[s] != kInvalidLink) {
+        cb.up_link = topo_->reverse_of(in_link[s]);
+        cb.up_slot = slot_of(topo_->link(cb.up_link).dst);
+      } else if (cb.node == spec.source) {
         pivot_seen = true;
       } else {
         throw std::invalid_argument(
             "reduce stream down-tree is rooted away from spec.source");
       }
-      st.combiner_of_node[static_cast<std::size_t>(n)] =
-          static_cast<std::int32_t>(st.combiners.size());
+      ts.combiner = static_cast<std::int32_t>(st.combiners.size());
       st.combiners.push_back(std::move(cb));
     }
     if (!pivot_seen) {
@@ -353,12 +367,10 @@ StreamId Network::open_stream(StreamSpec spec) {
     }
   }
 
-  st.spec = std::move(spec);
   streams_.push_back(std::move(st));
   if (telem_) {
-    const StreamSpec& sp = streams_.back().spec;
-    telem_->on_stream_open(id, sp.tag, sp.receivers);
-    if (reduce) telem_->on_reduce_open(id, sp.contributors);
+    telem_->on_stream_open(id, spec.tag, spec.receivers);
+    if (reduce) telem_->on_reduce_open(id, spec.contributors);
   }
   return id;
 }
@@ -441,33 +453,25 @@ std::vector<int> Network::cancel_unsent_chunks(StreamId stream) {
 void Network::close_stream(StreamId stream) {
   auto& st = streams_[static_cast<std::size_t>(stream)];
   if (telem_ && !st.closed) {
-    // Computed before the spec/progress are cleared below.
+    // Computed before the progress tables are released below.
     telem_->on_stream_close(stream,
                             stream_diagnostic(stream).incomplete_deliveries == 0);
   }
   st.closed = true;
   // Release, don't just clear: fault-heavy runs open one recovery stream per
-  // (collective, origin) per pass, and clear() retains each dead stream's
-  // node-count-sized tables (fwd_offset, recv_index) forever — hundreds of
-  // MiB of dead capacity across a flapping horizon.
+  // (collective, origin) per pass, and clear() would retain every dead
+  // stream's tables for the rest of the run.
   // NB: `v = {}` is initializer-list assignment and keeps capacity, exactly
   // like clear(); swapping with a default-constructed temporary frees it.
   auto release = [](auto& c) { std::decay_t<decltype(c)>{}.swap(c); };
-  release(st.spec.forward);
-  release(st.spec.receivers);
-  release(st.fwd_offset);
-  release(st.fwd_links);
-  release(st.recv_index);
-  release(st.recv_nodes);
+  release(st.slots);
+  release(st.fwd);
   release(st.progress);
   release(st.last_cnp);
   release(st.chunk_want);
   release(st.pending);
-  release(st.spec.contributors);
-  release(st.spec.contributor_local);
   release(st.injectors);
   release(st.combiners);
-  release(st.combiner_of_node);
   // Whatever this stream still held in combiner SRAM is discarded with it.
   reduce_held_ -= st.reduce_held;
   st.reduce_held = 0;
@@ -524,10 +528,10 @@ void Network::pump(StreamId stream) {
     const SimTime now = queue_->now();
     // Backpressure: a paused source (its own egress buffers full, e.g. under
     // PFC from downstream) stops injecting; release_buffer re-arms the pump.
-    if (nodes_[static_cast<std::size_t>(st.spec.source)].buffered >
+    if (nodes_[static_cast<std::size_t>(st.source)].buffered >
         pause_threshold_) {
       st.pump_blocked = true;
-      blocked_pumps_[static_cast<std::size_t>(st.spec.source)].push_back(
+      blocked_pumps_[static_cast<std::size_t>(st.source)].push_back(
           BlockedPump{stream, -1});
       return;
     }
@@ -542,15 +546,10 @@ void Network::pump(StreamId stream) {
     auto& pc = st.pending[st.pending_head];
     const Bytes seg_bytes =
         std::min<Bytes>(config_.segment_bytes, pc.bytes - pc.injected);
-    const Segment seg{stream, pc.chunk, static_cast<std::int32_t>(seg_bytes),
-                      kInvalidLink, false};
     if (telem_) telem_->on_inject(stream, pc.chunk, seg_bytes);
-    const auto src = static_cast<std::size_t>(st.spec.source);
-    const std::int32_t out_begin = st.fwd_offset[src];
-    const std::int32_t out_end = st.fwd_offset[src + 1];
-    for (std::int32_t i = out_begin; i < out_end; ++i) {
-      enqueue_segment(st.fwd_links[static_cast<std::size_t>(i)], seg);
-    }
+    replicate(st, st.src_slot,
+              Segment{stream, pc.chunk, static_cast<std::int32_t>(seg_bytes),
+                      kInvalidLink, -1, false});
     pc.injected += seg_bytes;
     if (pc.injected == pc.bytes) {
       ++st.pending_head;
@@ -592,7 +591,7 @@ void Network::pump_reduce(StreamId stream, std::int32_t injector) {
     const Bytes seg_bytes =
         std::min<Bytes>(config_.segment_bytes, pc.bytes - pc.injected);
     const Segment seg{stream, pc.chunk, static_cast<std::int32_t>(seg_bytes),
-                      kInvalidLink, false};
+                      kInvalidLink, inj.up_slot, false};
     if (telem_) {
       telem_->on_inject(stream, pc.chunk, seg_bytes);
       telem_->on_reduce_contribute(stream, inj.node, pc.chunk, seg_bytes);
@@ -609,6 +608,16 @@ void Network::pump_reduce(StreamId stream, std::int32_t injector) {
     const double tx_ns = static_cast<double>(seg_bytes) / rate;
     inj.pace_next =
         std::max(inj.pace_next, now) + static_cast<SimTime>(std::ceil(tx_ns));
+  }
+}
+
+void Network::replicate(const StreamState& st, std::int32_t slot,
+                        Segment seg) {
+  const TreeSlot& ts = st.slots[static_cast<std::size_t>(slot)];
+  for (std::int32_t i = ts.out_begin; i < ts.out_end; ++i) {
+    const OutLink& out = st.fwd[static_cast<std::size_t>(i)];
+    seg.slot = out.slot;
+    enqueue_segment(out.link, seg);
   }
 }
 
@@ -708,7 +717,7 @@ void Network::finish_tx(LinkId l, std::uint32_t fail_epoch) {
 
   post_event(queue_->now() + lk.propagation,
              SimEvent{SimEventKind::Arrive, seg.marked, l, seg.stream,
-                      seg.chunk, seg.bytes, seg.ingress, fail_epoch});
+                      seg.chunk, seg.bytes, seg.slot, fail_epoch});
   try_start(l);
 }
 
@@ -788,40 +797,35 @@ void Network::arrive(LinkId l, Segment seg, std::uint32_t fail_epoch) {
   // the same node over its down in-link (never a child: the mirror has no
   // 2-cycles) is the multicast passing through and falls through to the
   // ordinary replicate path.
-  if (!st.combiner_of_node.empty()) {
-    const std::int32_t ci = st.combiner_of_node[static_cast<std::size_t>(n)];
-    if (ci >= 0) {
-      const auto& kids = st.combiners[static_cast<std::size_t>(ci)].child_links;
-      const auto slot = static_cast<std::size_t>(
-          std::lower_bound(kids.begin(), kids.end(), l) - kids.begin());
-      if (slot < kids.size() && kids[slot] == l) {
-        reduce_absorb(seg.stream, ci, slot, seg);
-        return;
-      }
+  const TreeSlot& ts = st.slots[static_cast<std::size_t>(seg.slot)];
+  if (ts.combiner >= 0) {
+    const auto& kids =
+        st.combiners[static_cast<std::size_t>(ts.combiner)].child_links;
+    const auto slot = static_cast<std::size_t>(
+        std::lower_bound(kids.begin(), kids.end(), l) - kids.begin());
+    if (slot < kids.size() && kids[slot] == l) {
+      reduce_absorb(seg.stream, ts.combiner, slot, seg);
+      return;
     }
   }
 
   seg.ingress = l;  // buffer occupancy downstream is charged to this port
-  const auto ni = static_cast<std::size_t>(n);
-  const std::int32_t out_begin = st.fwd_offset[ni];
-  const std::int32_t out_end = st.fwd_offset[ni + 1];
-  for (std::int32_t i = out_begin; i < out_end; ++i) {
-    enqueue_segment(st.fwd_links[static_cast<std::size_t>(i)], seg);
-  }
+  replicate(st, seg.slot, seg);
 
-  const std::int32_t ri = st.recv_index[ni];
-  if (ri >= 0) {
-    auto& prog = st.progress[static_cast<std::size_t>(ri)];
+  if (ts.recv >= 0) {
+    auto& prog = st.progress[static_cast<std::size_t>(ts.recv)];
     const auto ci = static_cast<std::size_t>(seg.chunk);
     if (prog.size() <= ci) prog.resize(ci + 1, 0);
     Bytes& got = prog[ci];
     got += seg.bytes;
     if (telem_) telem_->on_deliver(seg.stream, n, seg.chunk, seg.bytes);
-    if (seg.marked && config_.congestion_control) maybe_cnp(seg.stream, ri, n);
+    if (seg.marked && config_.congestion_control) {
+      maybe_cnp(seg.stream, ts.recv, n);
+    }
     const Bytes want = ci < st.chunk_want.size() ? st.chunk_want[ci] : 0;
     if (want > 0 && got >= want) {
       if (on_delivery_) {
-        on_delivery_(DeliveryEvent{seg.stream, st.spec.tag, n, seg.chunk});
+        on_delivery_(DeliveryEvent{seg.stream, st.tag, n, seg.chunk});
       }
     }
   }
@@ -880,25 +884,20 @@ void Network::reduce_emit(StreamId s, std::int32_t combiner,
   // children of a slow combiner is exactly the fan-in deadlock the SRAM
   // model exists to avoid.
   const Segment seg{s, chunk, static_cast<std::int32_t>(bytes), kInvalidLink,
-                    marked};
+                    cb.up_slot, marked};
   if (cb.up_link != kInvalidLink) {
     enqueue_segment(cb.up_link, seg);
     return;
   }
   // Pivot: the fully combined bytes turn around and launch the forward
   // multicast down to every member.
-  const auto ni = static_cast<std::size_t>(cb.node);
-  const std::int32_t out_begin = st.fwd_offset[ni];
-  const std::int32_t out_end = st.fwd_offset[ni + 1];
-  for (std::int32_t i = out_begin; i < out_end; ++i) {
-    enqueue_segment(st.fwd_links[static_cast<std::size_t>(i)], seg);
-  }
+  replicate(st, st.src_slot, seg);
 }
 
 void Network::maybe_cnp(StreamId s, std::int32_t recv_idx, NodeId receiver) {
   auto& st = streams_[static_cast<std::size_t>(s)];
   const SimTime now = queue_->now();
-  if (st.spec.cnp_mode == CnpMode::ReceiverTimer) {
+  if (st.cnp_mode == CnpMode::ReceiverTimer) {
     SimTime& last = st.last_cnp[static_cast<std::size_t>(recv_idx)];
     // kMinCnp is far enough in the past that a fresh receiver always passes.
     if (now - last < config_.receiver_cnp_interval) return;

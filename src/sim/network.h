@@ -12,22 +12,25 @@
 // the network calls back on every completed (receiver, chunk) delivery so
 // schemes like Ring can pipeline (forward a chunk as soon as it landed).
 //
-// Hot-path layout: open_stream compiles the StreamSpec's forwarding map into
-// a CSR table (per-node offsets into one flat LinkId array) and the receiver
-// set into a dense node->index map, so the per-segment work in arrive() is
-// array indexing with no hashing. Steady-state events (pump, finish_tx,
-// arrive, CNP delivery, telemetry ticks) are scheduled as packed SimEvents
-// dispatched back through SimEventSink instead of heap-allocated
-// std::function closures; the Network binds itself as the queue's sink on
-// construction. Both changes are behavior-neutral: event sequence numbers,
-// firing order, and RNG draw order are exactly what the closure-based code
-// produced.
+// Hot-path layout: open_stream compiles the StreamSpec into *tree slots*,
+// one per node its forwarding map names, numbered in ascending node order.
+// A slot holds the node's slice of one flat out-link array (each entry
+// carrying its child's slot), its receiver index and its combiner index, so
+// per-stream state is sized to the tree, not the fabric. A queued segment
+// carries the slot of its link's far end (the Arrive event's `e` field), so
+// the per-segment work in arrive() is array indexing with no hashing. The
+// numbering depends on the forward map alone, so every sharded replica of a
+// stream agrees on it. Steady-state events (pump, finish_tx, arrive, CNP
+// delivery, telemetry ticks) are scheduled as packed SimEvents dispatched
+// back through SimEventSink instead of heap-allocated std::function
+// closures; the Network binds itself as the queue's sink on construction.
+// Both changes are behavior-neutral: event sequence numbers, firing order,
+// and RNG draw order are exactly what the closure-based code produced.
 #pragma once
 
 #include <algorithm>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -167,8 +170,8 @@ class Network final : public SimEventSink, public DataPlane {
   [[nodiscard]] bool stream_uses_link(StreamId s, LinkId l) const override {
     const StreamState& st = streams_[static_cast<std::size_t>(s)];
     if (st.closed) return false;
-    return std::find(st.fwd_links.begin(), st.fwd_links.end(), l) !=
-           st.fwd_links.end();
+    return std::any_of(st.fwd.begin(), st.fwd.end(),
+                       [l](const OutLink& o) { return o.link == l; });
   }
   /// Progress snapshot for stuck-flow reports (works without telemetry).
   [[nodiscard]] StreamDiagnostic stream_diagnostic(StreamId s) const override;
@@ -179,6 +182,7 @@ class Network final : public SimEventSink, public DataPlane {
     std::int32_t chunk;
     std::int32_t bytes;
     LinkId ingress;  // link that delivered it to the current node (or invalid)
+    std::int32_t slot;  // tree slot of the far end of the link it is queued on
     bool marked;
   };
 
@@ -218,6 +222,7 @@ class Network final : public SimEventSink, public DataPlane {
   struct ReduceInjector {
     NodeId node = kInvalidNode;
     LinkId up_link = kInvalidLink;  ///< mirror of the spec's in-link to `node`
+    std::int32_t up_slot = -1;      ///< tree slot of up_link's far end
     Dcqcn cc;
     std::vector<PendingChunk> pending;  // FIFO via pending_head
     std::size_t pending_head = 0;
@@ -238,13 +243,34 @@ class Network final : public SimEventSink, public DataPlane {
     /// Mirror of the in-link above `node`; kInvalidLink marks the pivot
     /// (spec.source), whose combined bytes launch the forward multicast.
     LinkId up_link = kInvalidLink;
+    std::int32_t up_slot = -1;  ///< tree slot of up_link's far end
     std::vector<LinkId> child_links;  ///< sorted; mirrors of the fan-out links
     std::vector<std::vector<Bytes>> child_bytes;  ///< [chunk][child slot]
     std::vector<Bytes> out_progress;              ///< [chunk] bytes forwarded
   };
 
+  /// One entry of a node's out-link slice: the link and the tree slot of
+  /// its far end.
+  struct OutLink {
+    LinkId link;
+    std::int32_t slot;
+  };
+
+  /// One node of a stream's tree (see the header comment).
+  struct TreeSlot {
+    std::int32_t out_begin = 0;  ///< out-links: fwd[out_begin, out_end), in
+    std::int32_t out_end = 0;    ///< the order the spec's forward map lists
+    std::int32_t recv = -1;      ///< compact receiver index, or -1
+    std::int32_t combiner = -1;  ///< reduce streams: combiner index, or -1
+  };
+
   struct StreamState {
-    StreamSpec spec;
+    // The few spec fields the data plane reads after open_stream; the spec
+    // itself (forwarding map, receiver and contributor lists) is compiled
+    // into the tables below and dropped.
+    NodeId source = kInvalidNode;
+    std::uint64_t tag = 0;
+    CnpMode cnp_mode = CnpMode::ReceiverTimer;
     Dcqcn cc;
     std::vector<PendingChunk> pending;  // FIFO via pending_head
     std::size_t pending_head = 0;
@@ -254,31 +280,30 @@ class Network final : public SimEventSink, public DataPlane {
     SimTime pace_next = 0;
 
     // In-network reduction (non-empty injectors <=> spec.contributors set):
-    // one paced injector per contributor, one combiner per aggregation node,
-    // and a dense node -> combiner index for the arrive() fast path.
+    // one paced injector per contributor, one combiner per aggregation node.
     std::vector<ReduceInjector> injectors;
     std::vector<ReduceCombiner> combiners;
-    std::vector<std::int32_t> combiner_of_node;
     Bytes reduce_held = 0;  ///< this stream's share of the SRAM gauge
 
-    // Compiled forwarding table (CSR over node ids): node n replicates onto
-    // fwd_links[fwd_offset[n] .. fwd_offset[n+1]), in the exact order the
-    // spec's forward map listed them.
-    std::vector<std::int32_t> fwd_offset;
-    std::vector<LinkId> fwd_links;
+    // Compiled tree: slots in ascending node order, out-links in one array.
+    std::vector<TreeSlot> slots;
+    std::vector<OutLink> fwd;
+    std::int32_t src_slot = -1;
 
-    // Dense receiver-side state, keyed by compact receiver index.
-    std::vector<std::int32_t> recv_index;  ///< node -> compact index, or -1
-    std::vector<NodeId> recv_nodes;        ///< compact index -> node
     /// chunk -> bytes the collective queued for it; 0 = no such chunk
     /// (send_chunk enforces positive sizes, so 0 is unambiguous).
     std::vector<Bytes> chunk_want;
     /// [receiver index][chunk] -> bytes received so far (grown on demand).
+    /// Receivers the tree never reaches keep an empty row, so they still
+    /// count as incomplete in stream_diagnostic.
     std::vector<std::vector<Bytes>> progress;
     /// [receiver index] -> last CNP emission (CnpMode::ReceiverTimer).
     std::vector<SimTime> last_cnp;
   };
 
+  /// Enqueues `seg` on every out-link of `slot`, stamping each copy with its
+  /// link's far-end slot.
+  void replicate(const StreamState& st, std::int32_t slot, Segment seg);
   void pump(StreamId s);
   /// Paced injection for contributor `injector` of reduce stream `s` (the
   /// reduce-stream twin of pump()).

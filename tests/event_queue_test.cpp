@@ -1,8 +1,9 @@
 // Ladder-scheduler tests: the (t, seq) total order across every storage tier
-// of the EventQueue — active heap, rungs, overflow, and the closure side
-// heap. The data-plane determinism gate (perf_suite --check) would catch a
-// global ordering break eventually; these tests pin the contract at the unit
-// level, including the tier-boundary cases a scenario may not visit.
+// of the EventQueue — the active window's sorted run and side heap, rungs,
+// overflow, and the closure heap. The data-plane determinism gate
+// (perf_suite --check) would catch a global ordering break eventually; these
+// tests pin the contract at the unit level, including the tier-boundary
+// cases a scenario may not visit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -152,6 +153,99 @@ TEST(EventQueueLadder, StressMatchesSortedReferenceModel) {
   q.run();
 
   std::stable_sort(ref.begin(), ref.end(), [](const Ref& a, const Ref& b) {
+    return a.t != b.t ? a.t < b.t : a.seq < b.seq;
+  });
+  ASSERT_EQ(sink.fired.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    ASSERT_EQ(sink.fired[i], ref[i].label)
+        << "divergence from the (t, seq) reference order at index " << i;
+  }
+}
+
+// Bursty oracle: the multicast shape of the packet hot path. Each round drops
+// a burst of >= 256 PODs on one nanosecond (a segment finishing on every
+// link of a tree at once) with closures interleaved at the same instant,
+// stragglers one and two ns later, timers scattered over the next few µs,
+// and far (ms) timers that force rebases with a widened stride. Dispatches
+// spawn after(0) and +1 ns inserts into the active window. Every round ends
+// on a horizon that cuts its burst window in half — run_until, or
+// run_window followed by advance_to and an external insert at the horizon
+// (the sharded engine's mailbox drain). The firing order must equal the
+// (t, seq) model exactly.
+TEST(EventQueueLadder, BurstsAndHorizonsMatchSortedReferenceModel) {
+  EventQueue q;
+  RecordingSink sink;
+  q.bind_sink(&sink);
+
+  struct Ref {
+    SimTime t;
+    std::uint64_t seq;
+    std::int32_t label;
+  };
+  std::vector<Ref> ref;
+  std::uint64_t lcg = 0x2545f4914f6cdd1dULL;
+  std::uint64_t seq = 0;
+  std::int32_t next_label = 0;
+  const auto draw = [&lcg] {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    return lcg >> 33;
+  };
+  const auto pod = [&](SimTime t) {
+    const std::int32_t label = next_label++;
+    ref.push_back({t, seq++, label});
+    q.at(t, labeled(label));
+  };
+  const auto closure = [&](SimTime t) {
+    const std::int32_t label = next_label++;
+    ref.push_back({t, seq++, label});
+    q.at(t, [&sink, label] { sink.fired.push_back(label); });
+  };
+
+  int spawns = 20'000;
+  sink.react = [&](const SimEvent&) {
+    if (spawns <= 0) return;
+    switch (draw() % 8) {
+      case 0: --spawns; pod(q.now()); break;      // after(0)
+      case 1: --spawns; pod(q.now() + 1); break;  // next nanosecond
+      case 2: --spawns; closure(q.now()); break;
+      default: break;
+    }
+  };
+
+  for (int round = 0; round < 24; ++round) {
+    // Far enough out that most bursts sit in a rung, not the active window.
+    // The second half runs among the far timers, where a rebase has widened
+    // the stride and a bucket takes several radix passes.
+    const SimTime base =
+        round < 12 ? q.now() : std::max<SimTime>(q.now(), 2'000'000);
+    const SimTime burst = base + 1 + static_cast<SimTime>(draw() % 4'000);
+    const int size = 256 + static_cast<int>(draw() % 200);
+    for (int i = 0; i < size; ++i) {
+      if (i % 61 == 7) closure(burst);
+      pod(burst + (i % 17 == 0 ? static_cast<SimTime>(1 + draw() % 2) : 0));
+    }
+    // Scattered timers a few µs out: with a widened stride they share a
+    // bucket with later bursts while differing above its low digit.
+    for (int i = 0; i < 8; ++i) {
+      pod(burst + 2 + static_cast<SimTime>(draw() % 3'000));
+    }
+    if (round % 3 == 0) {
+      pod(burst + 1'000'000 + static_cast<SimTime>(draw() % 4'000'000));
+    }
+    if (round % 2 == 0) {
+      q.run_until(burst);
+      ASSERT_EQ(q.now(), burst);
+    } else {
+      q.run_window(burst + 1);
+      ASSERT_EQ(q.now(), burst);
+      q.advance_to(burst + 1);
+      pod(burst + 1);
+      closure(burst + 1);
+    }
+  }
+  q.run();
+
+  std::sort(ref.begin(), ref.end(), [](const Ref& a, const Ref& b) {
     return a.t != b.t ? a.t < b.t : a.seq < b.seq;
   });
   ASSERT_EQ(sink.fired.size(), ref.size());
