@@ -46,7 +46,7 @@
 //                           flow = fluid max-min fast path (orders of
 //                           magnitude fewer events, CCT within the stated
 //                           per-figure tolerances — docs/simulator.md).
-//                           flow takes precedence over --shards.
+//                           flow runs on one queue: --shards is rejected.
 //
 //   Workload mode (--workload): the positionals become
 //     [scheme] [collective] [group_gpus] [message_MiB] [load%] [jobs]
@@ -133,6 +133,7 @@ struct Flags {
   double deadline_seconds = 0.0;
   double flap_mtbf_us = 0.0;
   double flap_mttr_us = 0.0;
+  bool flap = false;  ///< --flap-mtbf or --flap-mttr given
   double flap_horizon_us = 0.0;
   double detect_us = 100.0;
   int flap_links = 1;
@@ -192,8 +193,10 @@ std::vector<const char*> parse_flags(int argc, char** argv, Flags& flags) {
       flags.fault_schedule = value;
     } else if (flag_value(arg, "--flap-mtbf", &value)) {
       flags.flap_mtbf_us = std::atof(value);
+      flags.flap = true;
     } else if (flag_value(arg, "--flap-mttr", &value)) {
       flags.flap_mttr_us = std::atof(value);
+      flags.flap = true;
     } else if (flag_value(arg, "--flap-links", &value)) {
       flags.flap_links = std::atoi(value);
     } else if (flag_value(arg, "--flap-horizon", &value)) {
@@ -252,19 +255,33 @@ std::vector<const char*> parse_flags(int argc, char** argv, Flags& flags) {
       std::exit(1);
     }
   }
+  if (flags.flap && (flags.flap_mtbf_us <= 0.0 || flags.flap_mttr_us <= 0.0)) {
+    throw std::invalid_argument(
+        "--flap-mtbf and --flap-mttr must both be positive");
+  }
+  if (flags.fidelity == Fidelity::Flow && flags.shards > 0) {
+    throw std::invalid_argument(
+        "--shards needs the packet engine; --fidelity=flow runs on one queue");
+  }
   return positional;
 }
 
 /// The flow solver's summary line (flow fidelity only): one max-min solve
-/// per perturbed instant, serving every stream change requested in it.
-void print_flow_solver(std::uint64_t solves, std::uint64_t requests) {
+/// per perturbed instant, serving every stream change requested in it, and
+/// how many flows a solve re-fills and re-rates on average.
+void print_flow_solver(const ScenarioResult& r) {
+  const auto per_solve = [&r](std::uint64_t n) {
+    return r.flow_solves > 0 ? static_cast<double>(n) /
+                                   static_cast<double>(r.flow_solves)
+                             : 0.0;
+  };
   std::printf("  flow solver %llu solve(s) for %llu request(s), %.1f "
-              "coalesced per solve\n",
-              static_cast<unsigned long long>(solves),
-              static_cast<unsigned long long>(requests),
-              solves > 0 ? static_cast<double>(requests) /
-                               static_cast<double>(solves)
-                         : 0.0);
+              "coalesced per solve, %.1f flows re-rated per solve, %.1f "
+              "rates changed per solve\n",
+              static_cast<unsigned long long>(r.flow_solves),
+              static_cast<unsigned long long>(r.flow_solve_requests),
+              per_solve(r.flow_solve_requests), per_solve(r.flow_rerated),
+              per_solve(r.flow_rates_changed));
 }
 
 int run_workload_mode(const Flags& flags,
@@ -362,7 +379,7 @@ int run_workload_mode(const Flags& flags,
               static_cast<unsigned long long>(r.sim.events),
               static_cast<unsigned long long>(r.sim.unfinished));
   if (wc.fidelity == Fidelity::Flow) {
-    print_flow_solver(r.sim.flow_solves, r.sim.flow_solve_requests);
+    print_flow_solver(r.sim);
   }
 
   if (!flags.tcam_csv.empty()) {
@@ -429,12 +446,7 @@ int run_scenario_mode(Flags flags, const std::vector<const char*>& args) {
       return 1;
     }
   }
-  if (flags.flap_mtbf_us > 0.0 || flags.flap_mttr_us > 0.0) {
-    if (flags.flap_mtbf_us <= 0.0 || flags.flap_mttr_us <= 0.0) {
-      std::fprintf(stderr,
-                   "--flap-mtbf and --flap-mttr must both be positive\n");
-      return 1;
-    }
+  if (flags.flap) {
     sc.faults.flap.mtbf_seconds = flags.flap_mtbf_us * 1e-6;
     sc.faults.flap.mttr_seconds = flags.flap_mttr_us * 1e-6;
     sc.faults.flap.links = flags.flap_links;
@@ -475,7 +487,7 @@ int run_scenario_mode(Flags flags, const std::vector<const char*>& args) {
   }
   Bytes fabric_bytes = 0, core_bytes = 0, sram_peak = 0;
   std::uint64_t ecn = 0, pfc = 0, events = 0;
-  std::uint64_t flow_solves = 0, flow_solve_requests = 0;
+  ScenarioResult flow;  // the flow-solver counters, summed over cells
   std::size_t unfinished = 0;
   std::size_t downs = 0, ups = 0, recovered = 0;
   std::uint64_t delta_applies = 0, delta_repaired = 0, delta_evicted = 0;
@@ -488,8 +500,10 @@ int run_scenario_mode(Flags flags, const std::vector<const char*>& args) {
     ecn += c.result.ecn_marks;
     pfc += c.result.pfc_pauses;
     events += c.result.events;
-    flow_solves += c.result.flow_solves;
-    flow_solve_requests += c.result.flow_solve_requests;
+    flow.flow_solves += c.result.flow_solves;
+    flow.flow_solve_requests += c.result.flow_solve_requests;
+    flow.flow_rerated += c.result.flow_rerated;
+    flow.flow_rates_changed += c.result.flow_rates_changed;
     sram_peak += c.result.reduce_sram_peak;
     unfinished += c.result.unfinished;
     downs += c.result.fault_downs;
@@ -519,7 +533,7 @@ int run_scenario_mode(Flags flags, const std::vector<const char*>& args) {
               static_cast<unsigned long long>(pfc),
               static_cast<unsigned long long>(events));
   if (sc.fidelity == Fidelity::Flow) {
-    print_flow_solver(flow_solves, flow_solve_requests);
+    print_flow_solver(flow);
   }
   if (sram_peak > 0) {
     std::printf("  reduce SRAM %s peak (summed over replicas)\n",

@@ -109,6 +109,8 @@ void harvest_flow_solver(const Engine& /*engine*/, ScenarioResult& /*out*/) {}
 inline void harvest_flow_solver(const FlowEngine& engine, ScenarioResult& out) {
   out.flow_solves = engine.net.rate_recomputes();
   out.flow_solve_requests = engine.net.solve_requests();
+  out.flow_rerated = engine.net.flows_rerated();
+  out.flow_rates_changed = engine.net.rates_changed();
 }
 
 /// Pod-sharded parallel engine (src/sim/sharded.h).

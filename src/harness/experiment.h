@@ -147,6 +147,10 @@ struct ScenarioResult {
   /// perturbed instant, and the stream changes that requested them.
   std::uint64_t flow_solves = 0;
   std::uint64_t flow_solve_requests = 0;
+  /// Flows each solve re-filled (the region), and flows whose applied rate
+  /// changed, summed over solves.
+  std::uint64_t flow_rerated = 0;
+  std::uint64_t flow_rates_changed = 0;
   /// High-water mark of switch combining SRAM (in-network reduce streams
   /// only; 0 for every host-side scheme). Sharded runs report the sum of
   /// per-domain peaks — an upper bound on fabric-wide demand (domains need

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace peel {
@@ -11,6 +12,22 @@ namespace {
 /// Rate floor for a flow whose compiled link set is empty (a degenerate
 /// single-node spec): chunks complete in ~1 ns instead of dividing by zero.
 constexpr double kUnboundedRate = 1e6;  // bytes per ns
+
+/// (level, link) order of fill rounds.
+bool key_less(double la, LinkId a, double lb, LinkId b) {
+  return la != lb ? la < lb : a < b;
+}
+
+/// Min-heap order on (level, link, flow): std heaps keep the "largest" on
+/// top, and a link entry (flow -1) pops before freezes at the same key.
+struct FillLater {
+  template <typename Entry>
+  bool operator()(const Entry& a, const Entry& b) const noexcept {
+    if (a.level != b.level) return a.level > b.level;
+    if (a.link != b.link) return a.link > b.link;
+    return a.flow > b.flow;
+  }
+};
 
 }  // namespace
 
@@ -238,6 +255,10 @@ void FlowNetwork::close_stream(StreamId stream) {
                         !f.short_delivery && !f.frozen;
   if (telem_) telem_->on_stream_close(stream, complete);
   if (f.active) {
+    // Its neighbours keep the rates they had beside it (see above).
+    for (std::size_t i = 0; i < f.links.size(); ++i) {
+      if (f.link_live[i]) stale_links_.push_back(f.links[i]);
+    }
     detach(stream);
     f.active = false;
     f.rate = 0.0;
@@ -362,107 +383,239 @@ void FlowNetwork::solve() {
   const SimTime now = queue_->now();
   ++rate_recomputes_;
 
-  // Union of the dirty seeds' connected components: streams transitively
-  // sharing a live link with a seed. Seeds are included whether or not they
-  // are still active (a departure perturbs exactly the flows it used to
-  // share links with).
-  if (flow_stamp_.size() < flows_.size()) flow_stamp_.resize(flows_.size(), 0);
-  const std::uint32_t epoch = ++solve_epoch_;
-  comp_.clear();
-  seen_.clear();
-  used_.clear();
-  for (const StreamId seed : dirty_) {
-    auto& stamp = flow_stamp_[static_cast<std::size_t>(seed)];
-    if (stamp == epoch) continue;
-    stamp = epoch;
-    comp_.push_back(seed);
-  }
+  // A stale link no active flow crosses any more holds no stale rate.
+  std::erase_if(stale_links_, [this](LinkId l) {
+    return links_[static_cast<std::size_t>(l)].active.empty();
+  });
+  bool whole = !stale_links_.empty();
+  while (!fill_region(whole)) whole = true;
+  std::erase_if(stale_links_, [this](LinkId l) { return in_region(l); });
   dirty_.clear();
-  for (std::size_t i = 0; i < comp_.size(); ++i) {
-    const FlowState& f = flow(comp_[i]);
-    if (f.closed) continue;
+
+  // Apply the rates in ascending stream id, so completions are scheduled in
+  // the order a full re-fill of the component schedules them. A flow
+  // outside the region keeps its level; only a flow on a link whose active
+  // count changed (a seed's link) can change contention.
+  flows_rerated_ += region_flows_.size();
+  recheck_.insert(recheck_.end(), region_flows_.begin(), region_flows_.end());
+  std::sort(recheck_.begin(), recheck_.end());
+  recheck_.erase(std::unique(recheck_.begin(), recheck_.end()),
+                 recheck_.end());
+  for (const StreamId s : recheck_) {
+    FlowState& f = flow(s);
+    if (!f.active) continue;
+    bool live = false;
+    bool contended = false;
     for (std::size_t j = 0; j < f.links.size(); ++j) {
       if (!f.link_live[j]) continue;
-      const LinkId link = f.links[j];
-      const auto l = static_cast<std::size_t>(link);
-      if (slot_of_[l] < seen_.size() && seen_[slot_of_[l]] == link) continue;
-      slot_of_[l] = static_cast<std::uint32_t>(seen_.size());
-      seen_.push_back(link);
-      const std::vector<StreamId>& active = links_[l].active;
-      if (active.empty()) continue;
-      used_.push_back(link);
-      for (const StreamId t : active) {
-        auto& stamp = flow_stamp_[static_cast<std::size_t>(t)];
-        if (stamp == epoch) continue;
-        stamp = epoch;
-        comp_.push_back(t);
+      live = true;
+      if (links_[static_cast<std::size_t>(f.links[j])].active.size() >= 2) {
+        contended = true;
+        break;
       }
     }
-  }
-  std::sort(comp_.begin(), comp_.end());
-  act_.clear();
-  for (const StreamId s : comp_) {
-    if (flow(s).active) act_.push_back(s);
-  }
-
-  // Flat incidence for the water-fill. Slots are assigned in ascending link
-  // id order (ties in the fill level resolve to the lowest link id), so the
-  // allocation is a pure function of the component state. Every live link
-  // of an active flow in the component carries that flow, so it was seen
-  // and slotted above.
-  std::sort(used_.begin(), used_.end());
-  slot_cap_.resize(used_.size());
-  for (std::size_t i = 0; i < used_.size(); ++i) {
-    slot_of_[static_cast<std::size_t>(used_[i])] =
-        static_cast<std::uint32_t>(i);
-    slot_cap_[i] = topo_->link(used_[i]).rate.bytes_per_ns();
-  }
-  flow_begin_.clear();
-  flow_slots_.clear();
-  flow_begin_.push_back(0);
-  for (const StreamId s : act_) {
-    const FlowState& f = flow(s);
-    for (std::size_t j = 0; j < f.links.size(); ++j) {
-      if (f.link_live[j]) {
-        flow_slots_.push_back(slot_of_[static_cast<std::size_t>(f.links[j])]);
-      }
-    }
-    flow_begin_.push_back(static_cast<std::uint32_t>(flow_slots_.size()));
-  }
-  water_fill_.solve(WaterFillProblem{slot_cap_, flow_begin_, flow_slots_},
-                    fair_);
-
-  for (std::size_t fi = 0; fi < act_.size(); ++fi) {
-    FlowState& f = flow(act_[fi]);
     double rate;
-    if (flow_begin_[fi] == flow_begin_[fi + 1]) {
+    if (!live) {
       // Every link this flow occupies is dead: the source keeps pacing into
       // the outage at line rate, exactly as the packet engine's pump keeps
       // injecting into a dead port (the bytes are recorded as losses when
       // each chunk retires).
       rate = line_rate_floor(f);
     } else {
-      rate = fair_[fi];
-      // Contended: some link is shared. Every active flow on a slotted link
-      // belongs to the component, so its active list is the slot's flows.
-      bool contended = false;
-      for (std::uint32_t j = flow_begin_[fi]; j < flow_begin_[fi + 1]; ++j) {
-        const LinkId l = used_[flow_slots_[j]];
-        if (links_[static_cast<std::size_t>(l)].active.size() >= 2) {
-          contended = true;
-          break;
-        }
-      }
+      rate = f.level;
       if (contended && config_.congestion_control) {
         rate *= utilization_cap(f);
       }
     }
     if (rate != f.rate || !f.completion_scheduled) {
-      settle(act_[fi], now);
+      if (rate != f.rate) ++rates_changed_;
+      settle(s, now);
       f.rate = rate;
-      schedule_completion(act_[fi]);
+      schedule_completion(s);
     }
   }
+}
+
+bool FlowNetwork::fill_region(bool whole) {
+  const std::uint32_t epoch = ++solve_epoch_;
+  whole_ = whole;
+  region_.clear();
+  heap_.clear();
+  region_flows_.clear();
+  recheck_.clear();
+  fill_round_ = 0;
+
+  // Seeds: every dirty stream's live links, with all flows on them
+  // unfrozen. An active seed is re-filled; the flows on a seed's links are
+  // re-checked for contention.
+  for (const StreamId seed : dirty_) {
+    FlowState& f = flow(seed);
+    if (f.fill_epoch == epoch) continue;
+    f.fill_epoch = epoch;
+    f.fill_state = f.active ? FillState::Region : FillState::Gone;
+    if (f.active) region_flows_.push_back(seed);
+  }
+  constexpr FillKey kStart{-std::numeric_limits<double>::infinity(),
+                           kInvalidLink};
+  for (const StreamId seed : dirty_) {
+    const FlowState& f = flow(seed);
+    for (std::size_t j = 0; j < f.links.size(); ++j) {
+      if (!f.link_live[j] || in_region(f.links[j])) continue;
+      const auto& active = links_[static_cast<std::size_t>(f.links[j])].active;
+      recheck_.insert(recheck_.end(), active.begin(), active.end());
+      if (!join(f.links[j], kStart)) return false;
+    }
+  }
+  // A whole fill pulls every flow it meets in: join appends them to
+  // region_flows_, and their links join in turn.
+  for (std::size_t i = 0; whole_ && i < region_flows_.size(); ++i) {
+    const FlowState& f = flow(region_flows_[i]);
+    for (std::size_t j = 0; j < f.links.size(); ++j) {
+      if (f.link_live[j]) join(f.links[j], kStart);
+    }
+  }
+
+  FillKey last = kStart;
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), FillLater{});
+    const FillEntry top = heap_.back();
+    heap_.pop_back();
+    if (top.flow < 0) {
+      const RegionLink& r = region_[slot_of_[static_cast<std::size_t>(top.link)]];
+      if (top.version != r.version || r.unfrozen <= 0) continue;
+    } else if (flow(top.flow).fill_state != FillState::Fixed) {
+      continue;
+    }
+    // Rounds pop in ascending key unless rounding dipped a tied link's fill
+    // below the round before. Only a whole fill orders such a round exactly;
+    // its flows are marked so no later region fill replays them by key.
+    const FillKey key{top.level, top.link};
+    const bool below = key_less(key.level, key.link, last.level, last.link);
+    if (below && !whole_) return false;
+    if (!below) last = key;
+    ++fill_round_;
+    touched_.clear();
+
+    if (top.flow >= 0) {
+      // A fixed flow's old freeze. If its bottleneck is in the region and
+      // did not saturate at this key (it would have popped first), the
+      // flow's key moves: re-fill it.
+      if (in_region(flow(top.flow).bottleneck)) {
+        if (!pull_in(top.flow, key)) return false;
+      } else {
+        flow(top.flow).fill_state = FillState::Fired;
+        freeze(top.flow, top.level);
+      }
+    } else {
+      // A region link saturates: every unfrozen flow on it freezes at its
+      // fill. A fixed flow whose old key lies above this one freezes lower
+      // than before, so its key moves: re-fill it.
+      round_.clear();
+      for (const StreamId s : links_[static_cast<std::size_t>(top.link)].active) {
+        const FlowState& f = flow(s);
+        if (f.fill_state == FillState::Region) {
+          round_.push_back(s);
+        } else if (f.fill_state == FillState::Fixed) {
+          if (f.level != top.level || f.bottleneck != top.link) {
+            if (!pull_in(s, key)) return false;
+          }
+          round_.push_back(s);
+        }
+      }
+      for (const StreamId s : round_) {
+        FlowState& f = flow(s);
+        if (f.fill_state == FillState::Region) {
+          f.level = top.level;
+          f.bottleneck = top.link;
+          f.cascade = below;
+          f.fill_state = FillState::Frozen;
+        } else {
+          f.fill_state = FillState::Fired;
+        }
+        freeze(s, top.level);
+      }
+    }
+    for (const std::uint32_t slot : touched_) {
+      if (region_[slot].unfrozen > 0) push_link(slot);
+    }
+  }
+  return true;
+}
+
+bool FlowNetwork::join(LinkId l, FillKey point) {
+  if (in_region(l)) return true;
+  const std::uint32_t slot = static_cast<std::uint32_t>(region_.size());
+  slot_of_[static_cast<std::size_t>(l)] = slot;
+  std::int32_t unfrozen = 0;
+  replay_.clear();
+  for (const StreamId s : links_[static_cast<std::size_t>(l)].active) {
+    FlowState& f = flow(s);
+    if (f.fill_epoch != solve_epoch_) {
+      f.fill_epoch = solve_epoch_;
+      if (whole_) {
+        f.fill_state = FillState::Region;
+        region_flows_.push_back(s);
+      } else if (f.cascade) {
+        return false;  // its place among the rounds is not its key's
+      } else if (key_less(f.level, f.bottleneck, point.level, point.link)) {
+        f.fill_state = FillState::Fired;  // froze before `point`
+      } else {
+        f.fill_state = FillState::Fixed;
+        heap_.push_back(FillEntry{f.level, f.bottleneck, s, 0});
+        std::push_heap(heap_.begin(), heap_.end(), FillLater{});
+      }
+    }
+    if (f.fill_state == FillState::Fired || f.fill_state == FillState::Frozen) {
+      replay_.push_back(s);
+    } else {
+      ++unfrozen;
+    }
+  }
+  // Within one round every level is equal, so key order is round order.
+  std::sort(replay_.begin(), replay_.end(), [this](StreamId a, StreamId b) {
+    const FlowState& fa = flow(a);
+    const FlowState& fb = flow(b);
+    return key_less(fa.level, fa.bottleneck, fb.level, fb.bottleneck);
+  });
+  double residual = topo_->link(l).rate.bytes_per_ns();
+  for (const StreamId s : replay_) residual -= flow(s).level;
+  region_.push_back(RegionLink{l, unfrozen, residual, 0, 0});
+  if (unfrozen > 0) push_link(slot);
+  return true;
+}
+
+bool FlowNetwork::pull_in(StreamId s, FillKey point) {
+  FlowState& f = flow(s);
+  f.fill_state = FillState::Region;
+  region_flows_.push_back(s);
+  for (std::size_t j = 0; j < f.links.size(); ++j) {
+    if (f.link_live[j] && !join(f.links[j], point)) return false;
+  }
+  return true;
+}
+
+void FlowNetwork::freeze(StreamId s, double level) {
+  const FlowState& f = flow(s);
+  for (std::size_t j = 0; j < f.links.size(); ++j) {
+    if (!f.link_live[j] || !in_region(f.links[j])) continue;
+    const std::uint32_t slot = slot_of_[static_cast<std::size_t>(f.links[j])];
+    RegionLink& r = region_[slot];
+    r.residual -= level;
+    --r.unfrozen;
+    if (r.touched != fill_round_) {
+      r.touched = fill_round_;
+      touched_.push_back(slot);
+    }
+  }
+}
+
+void FlowNetwork::push_link(std::uint32_t slot) {
+  RegionLink& r = region_[slot];
+  r.version = ++push_seq_;
+  heap_.push_back(FillEntry{
+      std::max(r.residual, 0.0) / static_cast<double>(r.unfrozen), r.link, -1,
+      r.version});
+  std::push_heap(heap_.begin(), heap_.end(), FillLater{});
 }
 
 void FlowNetwork::schedule_completion(StreamId s) {
@@ -618,6 +771,7 @@ void FlowNetwork::refresh_live_set(StreamId s) {
         // The partial fluid on the dead wire is gone.
         a.util_integral -= f.head_done;
         lost_partial = true;
+        stale_links_.push_back(f.links[i]);
       }
     }
     f.link_live[i] = live;
@@ -719,6 +873,11 @@ StreamDiagnostic FlowNetwork::stream_diagnostic(StreamId s) const {
   d.incomplete_deliveries =
       d.pending_chunks * f.recvs.size() + (f.short_delivery ? 1 : 0);
   return d;
+}
+
+double FlowNetwork::stream_rate(StreamId s) const {
+  finish_instant();
+  return flow(s).rate;
 }
 
 double FlowNetwork::link_rate(LinkId l) const {

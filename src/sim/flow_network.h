@@ -12,12 +12,20 @@
 // Events fire only when something discrete happens — a chunk finishes, a
 // stream arrives or departs, a link fails or is repaired. Each such change
 // marks its stream dirty; one FlowSolve event at the end of the simulated
-// instant re-solves rates over the union of the dirty streams' *connected
-// components* (streams transitively sharing a link), never the whole fabric.
-// A PEEL collective opens and retires its streams together, so one solve
-// serves many changes. The rates equal those of solving after every change:
-// max-min over disjoint components is max-min over each alone, a rate set
-// mid-instant would last 0 ns, and settling at dt = 0 moves no bytes.
+// instant re-solves rates. A PEEL collective opens and retires its streams
+// together, so one solve serves many changes. The rates equal those of
+// solving after every change: a rate set mid-instant would last 0 ns, and
+// settling at dt = 0 moves no bytes.
+//
+// A solve is incremental and exact. Every active flow keeps the key of the
+// progressive-filling round that froze it, (level, bottleneck link), and a
+// solve re-fills only the region a change can reach: the dirty streams'
+// links, plus the links of every flow whose key could move. Every other
+// flow crossing a region link replays its old freeze at its old key, so
+// each flow outside the region keeps its rate bitwise, and the rates equal
+// a from-scratch fill of the whole component (docs/simulator.md, "The flow
+// solver").
+//
 // Scheduled chunk completions are invalidated lazily via per-stream
 // generation counters, so a rate change costs one reschedule, not a queue
 // scan. Completions, deliveries and solves are POD SimEvents dispatched to
@@ -63,7 +71,6 @@
 #include "src/sim/data_plane.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/telemetry.h"
-#include "src/sim/water_fill.h"
 #include "src/topology/topology.h"
 
 namespace peel {
@@ -120,11 +127,30 @@ class FlowNetwork final : public DataPlane, public SimEventSink {
   [[nodiscard]] std::uint64_t solve_requests() const noexcept {
     return solve_requests_;
   }
+  /// Flows whose fill key the solves recomputed, summed over solves: the
+  /// region size (diagnostic).
+  [[nodiscard]] std::uint64_t flows_rerated() const noexcept {
+    return flows_rerated_;
+  }
+  /// Flows whose applied rate changed, summed over solves (diagnostic).
+  [[nodiscard]] std::uint64_t rates_changed() const noexcept {
+    return rates_changed_;
+  }
 
   /// Current summed allocated rate on a directed link, in bytes/ns — one
   /// point of the piecewise-constant utilization series. Runs a pending
   /// solve first, so it never shows a half-solved instant.
   [[nodiscard]] double link_rate(LinkId l) const;
+  /// Current allocated rate of a stream, bytes/ns (0 when inactive). Runs a
+  /// pending solve first, like link_rate.
+  [[nodiscard]] double stream_rate(StreamId s) const;
+  /// Links whose flows still run at rates solved beside a stream that left
+  /// them unsolved (close_stream of an active stream, a link dropped from an
+  /// active stream's live set), until a solve's component reaches them.
+  /// Every other component's rates equal a full progressive fill.
+  [[nodiscard]] const std::vector<LinkId>& stale_links() const {
+    return stale_links_;
+  }
   /// ∫ rate dt over the run so far, in bytes. At drain this equals the
   /// audited link_bytes(l) (see the header comment and the property test).
   [[nodiscard]] double link_rate_integral(LinkId l) const {
@@ -153,6 +179,21 @@ class FlowNetwork final : public DataPlane, public SimEventSink {
     SimTime prop_sum = 0;
     double inv_rate_sum = 0.0;  ///< ns per byte, summed over path hops
     bool live = true;           ///< still source-reachable (faults)
+  };
+
+  /// A flow's part in the current solve.
+  enum class FillState : std::uint8_t {
+    Fixed,   ///< outside the region: freezes at its old key (pending)
+    Fired,   ///< outside the region: its old freeze has been replayed
+    Region,  ///< in the region, not yet frozen
+    Frozen,  ///< in the region, frozen at a new key
+    Gone,    ///< an inactive dirty seed (its links seed the region)
+  };
+
+  /// A fill round's place: rounds run in ascending (level, link id).
+  struct FillKey {
+    double level;
+    LinkId link;
   };
 
   struct FlowState {
@@ -199,6 +240,18 @@ class FlowNetwork final : public DataPlane, public SimEventSink {
     /// reschedules of one stream in flight to alias.)
     std::uint32_t gen = 0;
     bool completion_scheduled = false;
+
+    /// Fill key of the round that froze this flow at its last solve: its
+    /// max-min fair share (before the contention cap) and the link that
+    /// saturated. `cascade`: the round popped below an earlier round's key
+    /// (rounding can make a tied link's fill dip after its neighbour's
+    /// round), so key order does not give its place in the fill.
+    double level = 0.0;
+    LinkId bottleneck = kInvalidLink;
+    bool cascade = false;
+    /// This solve's view of the flow, valid while fill_epoch is current.
+    std::uint32_t fill_epoch = 0;
+    FillState fill_state = FillState::Fixed;
   };
 
   struct LinkAccum {
@@ -237,6 +290,24 @@ class FlowNetwork final : public DataPlane, public SimEventSink {
   /// re-rating the flows it leaves behind, so those keep exactly the rates
   /// a solve after every change would have given them.
   void solve();
+  /// Progressive filling over the region the dirty streams reach; `whole`
+  /// pulls every flow on every region link in, re-filling the components.
+  /// Returns false when a region fill cannot order a round exactly (a
+  /// cascade), and the caller re-runs it whole.
+  bool fill_region(bool whole);
+  /// Adds `l` to the region with the residual it has just before `point`:
+  /// capacity minus the old levels frozen earlier, replayed in key order.
+  bool join(LinkId l, FillKey point);
+  /// Moves fixed flow `s` into the region: its key is re-filled and its
+  /// links join at `point`.
+  bool pull_in(StreamId s, FillKey point);
+  /// Subtracts `level` from every region link of `s`.
+  void freeze(StreamId s, double level);
+  void push_link(std::uint32_t slot);
+  [[nodiscard]] bool in_region(LinkId l) const {
+    const std::uint32_t slot = slot_of_[static_cast<std::size_t>(l)];
+    return slot < region_.size() && region_[slot].link == l;
+  }
   /// True while `s` waits for the pending solve.
   [[nodiscard]] bool is_dirty(StreamId s) const;
   /// solve() for the rate readers: finishing the instant completes a
@@ -271,22 +342,41 @@ class FlowNetwork final : public DataPlane, public SimEventSink {
   std::vector<StreamId> dirty_;
   bool solve_posted_ = false;
 
-  // Solve arenas, reused across calls. The component BFS marks each flow
-  // (epoch stamp) and each link (sparse set: link l is seen iff
-  // seen_[slot_of_[l]] == l) once, so each link's active list is scanned
-  // once per solve; neither needs a reset between solves.
-  std::vector<std::uint32_t> flow_stamp_;
+  /// Links whose flows kept rates computed with a departed neighbour (a
+  /// close of an active stream, a link dropped from an active stream's live
+  /// set): the solver re-fills whole components until a solve reaches each.
+  std::vector<LinkId> stale_links_;
+
+  // Solve scratch, reused across calls. Region links form a sparse set:
+  // link l is in the region iff region_[slot_of_[l]].link == l.
+  struct RegionLink {
+    LinkId link;
+    std::int32_t unfrozen;   ///< flows on the link not frozen yet
+    double residual;         ///< capacity minus the levels frozen so far
+    std::uint32_t version;   ///< live heap entry
+    std::uint32_t touched;   ///< last round that changed the residual
+  };
+  /// Heap entry: a region link's current fill, or (flow >= 0) a fixed flow's
+  /// old freeze. Both are keyed (level, link); a link sorts before a freeze
+  /// at the same key.
+  struct FillEntry {
+    double level;
+    LinkId link;
+    StreamId flow;
+    std::uint32_t version;
+  };
+  std::vector<std::uint32_t> slot_of_;
+  std::vector<RegionLink> region_;
+  std::vector<FillEntry> heap_;
+  std::vector<StreamId> region_flows_;  ///< active flows whose key is re-filled
+  std::vector<StreamId> recheck_;       ///< flows whose rate the solve re-applies
+  std::vector<StreamId> round_;
+  std::vector<StreamId> replay_;
+  std::vector<std::uint32_t> touched_;
   std::uint32_t solve_epoch_ = 0;
-  std::vector<std::uint32_t> slot_of_;  ///< index in seen_, then slot id
-  std::vector<LinkId> seen_;
-  std::vector<StreamId> comp_;
-  std::vector<StreamId> act_;
-  std::vector<LinkId> used_;
-  std::vector<double> slot_cap_;
-  std::vector<std::uint32_t> flow_begin_;
-  std::vector<std::uint32_t> flow_slots_;
-  std::vector<double> fair_;
-  WaterFill water_fill_;
+  std::uint32_t fill_round_ = 0;
+  std::uint32_t push_seq_ = 0;
+  bool whole_ = false;
 
   /// Scratch for the live-set reachability walk (epoch-stamped nodes).
   std::vector<std::uint32_t> node_stamp_;
@@ -297,6 +387,8 @@ class FlowNetwork final : public DataPlane, public SimEventSink {
   std::uint64_t lost_segments_ = 0;
   std::uint64_t rate_recomputes_ = 0;
   std::uint64_t solve_requests_ = 0;
+  std::uint64_t flows_rerated_ = 0;
+  std::uint64_t rates_changed_ = 0;
 };
 
 }  // namespace peel

@@ -84,13 +84,13 @@ void Network::on_sim_event(const SimEvent& ev) {
     // sides, and a stale pause must never wedge a repaired link.
     case SimEventKind::PfcPause: {
       auto& L = links_[static_cast<std::size_t>(ev.a)];
-      if (L.fail_epoch == ev.epoch) L.pfc_paused = true;
+      if (L.fail_epoch == ev.epoch) set_paused(ev.a, true);
       return;
     }
     case SimEventKind::PfcResume: {
       auto& L = links_[static_cast<std::size_t>(ev.a)];
       if (L.fail_epoch == ev.epoch && L.pfc_paused) {
-        L.pfc_paused = false;
+        set_paused(ev.a, false);
         if (L.blocked) try_start(ev.a);
       }
       return;
@@ -504,7 +504,7 @@ void Network::on_duplex_failed(LinkId l) {
       L.head = 0;
     }
     L.blocked = false;
-    L.pfc_paused = false;
+    set_paused(dir, false);
   }
 }
 
@@ -664,7 +664,7 @@ void Network::enqueue_segment(LinkId l, Segment seg) {
     // ingress port that keeps contributing.
     auto& ingress_link = links_[static_cast<std::size_t>(seg.ingress)];
     if (N.buffered > pause_threshold_ && !ingress_link.pfc_paused) {
-      ingress_link.pfc_paused = true;
+      set_paused(seg.ingress, true);
       ++pfc_pauses_;
       if (telem_) telem_->on_pause(seg.ingress, queue_->now());
       // Sharded engine: if another domain owns the ingress link's
@@ -724,10 +724,18 @@ void Network::finish_tx(LinkId l, std::uint32_t fail_epoch) {
 void Network::unpause(LinkId l) {
   auto& L = links_[static_cast<std::size_t>(l)];
   if (!L.pfc_paused) return;
-  L.pfc_paused = false;
+  set_paused(l, false);
   if (telem_) telem_->on_unpause(l, queue_->now());
   if (L.blocked) try_start(l);
   post_pfc(SimEventKind::PfcResume, l);
+}
+
+void Network::set_paused(LinkId l, bool paused) {
+  auto& L = links_[static_cast<std::size_t>(l)];
+  if (L.pfc_paused == paused) return;
+  L.pfc_paused = paused;
+  nodes_[static_cast<std::size_t>(topo_->link(l).dst)].paused_in +=
+      paused ? 1 : -1;
 }
 
 void Network::release_buffer(NodeId n, LinkId ingress, Bytes bytes) {
@@ -749,7 +757,10 @@ void Network::release_buffer(NodeId n, LinkId ingress, Bytes bytes) {
     }
   }
   if (N.buffered > resume_threshold_) return;
-  for (LinkId in : topo_->in_links(n)) unpause(in);
+  // unpause() returns at once for an in-link that is not paused.
+  if (N.paused_in > 0) {
+    for (LinkId in : topo_->in_links(n)) unpause(in);
+  }
   // Re-arm source pumps blocked on this node's buffer.
   auto& waiting_here = blocked_pumps_[static_cast<std::size_t>(n)];
   if (!waiting_here.empty()) {

@@ -209,6 +209,9 @@ class Network final : public SimEventSink, public DataPlane {
     /// traffic through a node from deadlocking. Indexed by the link's
     /// position in this node's in-link list (in_slot_of_link_).
     std::vector<Bytes> per_ingress;
+    /// In-links whose pfc_paused flag is set (release_buffer skips its
+    /// resume walk while this is 0).
+    std::int32_t paused_in = 0;
   };
 
   struct PendingChunk {
@@ -335,6 +338,8 @@ class Network final : public SimEventSink, public DataPlane {
   /// Buffer released at node `n` for a segment that arrived over `ingress`;
   /// lifts PFC pauses and re-arms blocked source pumps as thresholds allow.
   void release_buffer(NodeId n, LinkId ingress, Bytes bytes);
+  /// Every pfc_paused flip goes through here to keep NodeState::paused_in.
+  void set_paused(LinkId l, bool paused);
   void unpause(LinkId l);
   void maybe_cnp(StreamId s, std::int32_t recv_idx, NodeId receiver);
   /// Telemetry time-series sampler: records one sample, then reschedules

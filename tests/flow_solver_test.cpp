@@ -25,7 +25,6 @@
 #include "src/harness/experiment.h"
 #include "src/harness/workload.h"
 #include "src/sim/flow_network.h"
-#include "src/sim/water_fill.h"
 #include "src/topology/fat_tree.h"
 #include "src/topology/leaf_spine.h"
 
@@ -34,10 +33,22 @@ namespace {
 
 // --- 1. the oracle ------------------------------------------------------------
 
+/// A flat incidence under construction.
+struct Incidence {
+  std::vector<double> capacity;
+  std::vector<std::uint32_t> flow_begin{0};
+  std::vector<std::uint32_t> flow_slots;
+
+  void add_flow(const std::vector<std::uint32_t>& slots) {
+    flow_slots.insert(flow_slots.end(), slots.begin(), slots.end());
+    flow_begin.push_back(static_cast<std::uint32_t>(flow_slots.size()));
+  }
+};
+
 /// Reference progressive filling: each round rescans every slot for the
 /// lowest fill level max(cap, 0) / count (ties to the lowest slot), then
 /// freezes every unfrozen flow crossing it, in flow order.
-std::vector<double> progressive_fill_oracle(const WaterFillProblem& p) {
+std::vector<double> progressive_fill_oracle(const Incidence& p) {
   const std::size_t flows = p.flow_begin.size() - 1;
   std::vector<double> slot_cap(p.capacity.begin(), p.capacity.end());
   std::vector<int> slot_count(slot_cap.size(), 0);
@@ -78,22 +89,7 @@ std::vector<double> progressive_fill_oracle(const WaterFillProblem& p) {
   return fair;
 }
 
-/// A flat incidence under construction.
-struct Incidence {
-  std::vector<double> capacity;
-  std::vector<std::uint32_t> flow_begin{0};
-  std::vector<std::uint32_t> flow_slots;
-
-  void add_flow(const std::vector<std::uint32_t>& slots) {
-    flow_slots.insert(flow_slots.end(), slots.begin(), slots.end());
-    flow_begin.push_back(static_cast<std::uint32_t>(flow_slots.size()));
-  }
-  [[nodiscard]] WaterFillProblem problem() const {
-    return WaterFillProblem{capacity, flow_begin, flow_slots};
-  }
-};
-
-TEST(WaterFillOracle, HandCheckedTieResolvesToLowestSlot) {
+TEST(FillOracle, HandCheckedTieResolvesToLowestSlot) {
   // Slots 0 and 1 both start at fill 1.0; slot 0 wins the tie and freezes
   // flows 0 and 2, leaving flow 1 alone on slot 1's residual 1.0.
   Incidence inc;
@@ -102,68 +98,8 @@ TEST(WaterFillOracle, HandCheckedTieResolvesToLowestSlot) {
   inc.add_flow({1});
   inc.add_flow({0, 1});
   inc.add_flow({});  // no live links: rate 0, pacing is the caller's call
-  const std::vector<double> oracle = progressive_fill_oracle(inc.problem());
-  EXPECT_EQ(oracle, (std::vector<double>{1.0, 1.0, 1.0, 0.0}));
-  WaterFill fill;
-  std::vector<double> rate;
-  fill.solve(inc.problem(), rate);
-  EXPECT_EQ(rate, oracle);
-}
-
-TEST(WaterFillOracle, RandomizedIncidencesMatchExactly) {
-  // Capacities drawn from a small pool so fill levels tie often; the pool
-  // includes zero and negative residuals and thirds/tenths whose repeated
-  // subtraction leaves residuals a rounding error above or below zero.
-  const std::vector<double> pool = {0.0,  -0.5, 1.0,       2.0,  3.0,
-                                    12.5, 0.1,  1.0 / 3.0, 25.0, 0.3};
-  WaterFill fill;  // one instance: arenas are reused across problems
-  std::vector<double> rate;
-  std::size_t ties = 0;
-  std::size_t nonpositive = 0;
-  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    Rng rng(seed);
-    Incidence inc;
-    const std::size_t slots = 1 + rng.next_below(24);
-    for (std::size_t s = 0; s < slots; ++s) {
-      inc.capacity.push_back(pool[rng.next_below(pool.size())]);
-    }
-    const std::size_t flows = 1 + rng.next_below(40);
-    for (std::size_t f = 0; f < flows; ++f) {
-      std::vector<std::uint32_t> mine;
-      switch (rng.next_below(8)) {
-        case 0:  // no live links
-          break;
-        case 1:
-        case 2:  // single-link flow
-          mine.push_back(static_cast<std::uint32_t>(rng.next_below(slots)));
-          break;
-        default: {  // a flow's links are unique and ascending
-          const std::size_t want = 2 + rng.next_below(6);
-          for (std::size_t k = 0; k < want; ++k) {
-            mine.push_back(static_cast<std::uint32_t>(rng.next_below(slots)));
-          }
-          std::sort(mine.begin(), mine.end());
-          mine.erase(std::unique(mine.begin(), mine.end()), mine.end());
-        }
-      }
-      inc.add_flow(mine);
-    }
-    const std::vector<double> oracle = progressive_fill_oracle(inc.problem());
-    fill.solve(inc.problem(), rate);
-    ASSERT_EQ(rate.size(), oracle.size());
-    for (std::size_t f = 0; f < oracle.size(); ++f) {
-      EXPECT_EQ(rate[f], oracle[f]) << "flow " << f;
-    }
-    std::map<double, int> levels;
-    for (const double r : oracle) {
-      if (++levels[r] == 2) ++ties;
-      if (r <= 0.0) ++nonpositive;
-    }
-  }
-  // The draw really exercised the edge cases it claims to.
-  EXPECT_GT(ties, 100u);
-  EXPECT_GT(nonpositive, 100u);
+  EXPECT_EQ(progressive_fill_oracle(inc),
+            (std::vector<double>{1.0, 1.0, 1.0, 0.0}));
 }
 
 // --- 2. coalescing ------------------------------------------------------------
@@ -241,7 +177,7 @@ struct Dumbbell {
       }
       inc.add_flow(slots);
     }
-    const std::vector<double> fair = progressive_fill_oracle(inc.problem());
+    const std::vector<double> fair = progressive_fill_oracle(inc);
     std::map<LinkId, double> sums;
     for (std::size_t f = 0; f < static_cast<std::size_t>(live); ++f) {
       for (const LinkId l : flow_links[f]) sums[l] += fair[f];
@@ -457,6 +393,360 @@ TEST(FlowSolver, FlappingCellsReproducePinnedCcts) {
             (std::vector<std::int64_t>{169676, 202515, 352246, 300428, 304527,
                                        288227, 274987, 329319, 276408,
                                        291467}));
+}
+
+// --- 4. bitwise soak ----------------------------------------------------------
+
+/// Leaf-spine fabric with mixed line rates: two- and three-way shares of the
+/// 300G/400G links produce fill levels like 50/3, whose rounding makes a
+/// tied link's fill dip below the round before it (a cascade).
+struct SoakFabric {
+  static constexpr int kLeaves = 4;
+  static constexpr int kSpines = 3;
+  static constexpr int kHostsPerLeaf = 4;
+  Topology topo;
+  std::vector<NodeId> leaves, spines, hosts;
+  std::vector<LinkId> nic;     ///< per host: host -> leaf
+  std::vector<LinkId> uplink;  ///< leaf * kSpines + spine: leaf -> spine
+
+  explicit SoakFabric(Rng& rng) {
+    const double fabric_gbps[] = {300.0, 400.0, 400.0, 200.0};
+    const double nic_gbps[] = {100.0, 200.0, 400.0};
+    for (int s = 0; s < kSpines; ++s) {
+      spines.push_back(topo.add_node(Node{NodeKind::Core, -1, s}));
+    }
+    for (int l = 0; l < kLeaves; ++l) {
+      leaves.push_back(topo.add_node(Node{NodeKind::Tor, l, 0}));
+      for (int s = 0; s < kSpines; ++s) {
+        uplink.push_back(topo.add_duplex_link(
+            leaves.back(), spines[static_cast<std::size_t>(s)],
+            GbpsRate{fabric_gbps[rng.next_below(4)]}));
+      }
+      for (int h = 0; h < kHostsPerLeaf; ++h) {
+        hosts.push_back(topo.add_node(Node{NodeKind::Host, l, h}));
+        nic.push_back(topo.add_duplex_link(hosts.back(), leaves.back(),
+                                           GbpsRate{nic_gbps[rng.next_below(3)]},
+                                           100, LinkKind::HostNic));
+      }
+    }
+  }
+
+  [[nodiscard]] static int leaf_of(std::size_t host) {
+    return static_cast<int>(host) / kHostsPerLeaf;
+  }
+
+  /// A multicast tree from a random host through one spine to 1-6 others.
+  [[nodiscard]] StreamSpec random_spec(Rng& rng) const {
+    StreamSpec spec;
+    const std::size_t src = rng.next_below(hosts.size());
+    const auto spine = static_cast<std::size_t>(rng.next_below(kSpines));
+    std::vector<std::size_t> recv;
+    const std::size_t want = 1 + rng.next_below(6);
+    while (recv.size() < want) {
+      const std::size_t h = rng.next_below(hosts.size());
+      if (h != src && std::find(recv.begin(), recv.end(), h) == recv.end()) {
+        recv.push_back(h);
+      }
+    }
+    spec.source = hosts[src];
+    spec.forward[spec.source] = {nic[src]};
+    const auto down = [&](std::size_t h) { return topo.reverse_of(nic[h]); };
+    for (const std::size_t h : recv) {
+      spec.receivers.push_back(hosts[h]);
+      const auto leaf = static_cast<std::size_t>(leaf_of(h));
+      if (leaf_of(h) == leaf_of(src)) {
+        spec.forward[leaves[leaf]].push_back(down(h));
+        continue;
+      }
+      auto& at_src_leaf =
+          spec.forward[leaves[static_cast<std::size_t>(leaf_of(src))]];
+      const LinkId up =
+          uplink[static_cast<std::size_t>(leaf_of(src)) * kSpines + spine];
+      if (std::find(at_src_leaf.begin(), at_src_leaf.end(), up) ==
+          at_src_leaf.end()) {
+        at_src_leaf.push_back(up);
+      }
+      auto& at_spine = spec.forward[spines[spine]];
+      const LinkId to_leaf = topo.reverse_of(uplink[leaf * kSpines + spine]);
+      if (std::find(at_spine.begin(), at_spine.end(), to_leaf) ==
+          at_spine.end()) {
+        at_spine.push_back(to_leaf);
+      }
+      spec.forward[leaves[leaf]].push_back(down(h));
+    }
+    return spec;
+  }
+};
+
+/// What the soak knows of a stream, independently of the FlowNetwork.
+struct SoakStream {
+  StreamId id = -1;
+  bool reduce = false;
+  bool closed = false;
+  NodeId source = kInvalidNode;
+  std::vector<LinkId> fwd;    ///< compiled forward links, ascending
+  std::vector<LinkId> links;  ///< forward plus (reduce) their reverses
+  std::vector<char> open_live;  ///< reduce: live set fixed when opened
+  std::size_t receivers = 0;
+  CnpMode mode = CnpMode::ReceiverTimer;
+};
+
+/// Live subset of `st`'s links: a link is live when its wire is up and its
+/// upstream end is reachable from the source over live forward links.
+std::vector<char> live_links(const Topology& topo, const SoakStream& st) {
+  std::vector<NodeId> reached{st.source};
+  for (std::size_t i = 0; i < reached.size(); ++i) {
+    for (const LinkId l : st.fwd) {
+      const Link& lk = topo.link(l);
+      if (lk.src == reached[i] && !lk.failed &&
+          std::find(reached.begin(), reached.end(), lk.dst) == reached.end()) {
+        reached.push_back(lk.dst);
+      }
+    }
+  }
+  std::vector<char> live;
+  for (const LinkId l : st.links) {
+    const Link& lk = topo.link(l);
+    const bool mirror =
+        st.reduce && !std::binary_search(st.fwd.begin(), st.fwd.end(), l);
+    const NodeId upstream = mirror ? lk.dst : lk.src;
+    live.push_back(static_cast<char>(
+        !lk.failed &&
+        std::find(reached.begin(), reached.end(), upstream) != reached.end()));
+  }
+  return live;
+}
+
+/// Drives one FlowNetwork through a seeded random sequence of arrivals,
+/// departures (several per instant, open+close in one instant), chunk
+/// completions, cancels and duplex failures/repairs (a reduce stream on a
+/// failed link freezes). After every solve, every active flow's rate must
+/// equal (==) a from-scratch progressive fill over all active flows with
+/// the contention cap applied. Flows in a component the network reports
+/// stale (a neighbour left it unsolved, see FlowNetwork::stale_links) are
+/// skipped until a solve reaches them. Returns the number of flow rates
+/// compared.
+std::size_t run_soak(std::uint64_t seed, int ops) {
+  Rng rng(seed);
+  SoakFabric fab(rng);
+  EventQueue queue;
+  const SimConfig sim;  // congestion control on: the contention cap applies
+  FlowNetwork net(fab.topo, sim, queue);
+  net.set_delivery_handler([](const DeliveryEvent&) {});
+  std::vector<SoakStream> streams;
+  std::vector<LinkId> failed;
+
+  const auto open = [&] {
+    StreamSpec spec = fab.random_spec(rng);
+    SoakStream st;
+    st.reduce = rng.next_below(5) == 0;
+    if (st.reduce) spec.contributors = spec.receivers;
+    spec.cnp_mode = static_cast<CnpMode>(rng.next_below(3));
+    st.source = spec.source;
+    st.mode = spec.cnp_mode;
+    st.receivers = spec.receivers.size();
+    for (const auto& [node, outs] : spec.forward) {
+      st.fwd.insert(st.fwd.end(), outs.begin(), outs.end());
+    }
+    std::sort(st.fwd.begin(), st.fwd.end());
+    st.links = st.fwd;
+    if (st.reduce) {
+      for (const LinkId l : st.fwd) st.links.push_back(fab.topo.reverse_of(l));
+      std::sort(st.links.begin(), st.links.end());
+    }
+    st.open_live = live_links(fab.topo, st);
+    st.id = net.open_stream(std::move(spec));
+    const std::size_t chunks = 1 + rng.next_below(3);
+    for (std::size_t c = 0; c < chunks; ++c) {
+      net.send_chunk(st.id, static_cast<int>(c),
+                     static_cast<Bytes>(16 * kKiB * (1 + rng.next_below(64))));
+    }
+    streams.push_back(std::move(st));
+    return streams.back().id;
+  };
+  const auto pick_open = [&]() -> SoakStream* {
+    std::vector<SoakStream*> live;
+    for (SoakStream& st : streams) {
+      if (!st.closed) live.push_back(&st);
+    }
+    return live.empty() ? nullptr : live[rng.next_below(live.size())];
+  };
+  const auto op = [&] {
+    switch (rng.next_below(10)) {
+      case 0:
+      case 1:
+      case 2:
+        open();
+        return;
+      case 3: {  // open and close within one instant
+        const StreamId s = open();
+        net.close_stream(s);
+        streams.back().closed = true;
+        return;
+      }
+      case 4:
+      case 5:
+        if (SoakStream* st = pick_open()) {
+          net.close_stream(st->id);
+          st->closed = true;
+        }
+        return;
+      case 6:
+        if (SoakStream* st = pick_open()) {
+          (void)net.cancel_unsent_chunks(st->id);
+        }
+        return;
+      case 7:
+        if (SoakStream* st = pick_open()) {
+          net.send_chunk(st->id, 99, static_cast<Bytes>(
+                                         64 * kKiB * (1 + rng.next_below(8))));
+        }
+        return;
+      case 8:
+        if (failed.size() < 2) {
+          const LinkId l = fab.uplink[rng.next_below(fab.uplink.size())];
+          if (std::find(failed.begin(), failed.end(), l) != failed.end()) return;
+          failed.push_back(l);
+          fab.topo.fail_duplex(l);
+          net.on_duplex_failed(l);
+        }
+        return;
+      default:
+        if (!failed.empty()) {
+          const std::size_t i = rng.next_below(failed.size());
+          const LinkId l = failed[i];
+          failed.erase(failed.begin() + static_cast<std::ptrdiff_t>(i));
+          fab.topo.restore_duplex(l);
+          net.on_duplex_restored(l);
+        }
+        return;
+    }
+  };
+  SimTime t = 0;
+  for (int i = 0; i < ops;) {
+    // Several changes often land on one instant.
+    const int burst = rng.next_below(3) == 0 ? 2 + static_cast<int>(
+                                                       rng.next_below(3))
+                                             : 1;
+    queue.at(t, [&op, burst] {
+      for (int k = 0; k < burst; ++k) op();
+    });
+    i += burst;
+    t += static_cast<SimTime>(rng.next_below(40'000));
+  }
+
+  std::size_t compared = 0;
+  const auto check = [&] {
+    std::vector<const SoakStream*> active;
+    std::vector<std::vector<char>> live;
+    for (const SoakStream& st : streams) {
+      if (st.closed) continue;
+      const StreamDiagnostic d = net.stream_diagnostic(st.id);
+      if (d.pump_blocked || d.pending_chunks == 0) continue;
+      active.push_back(&st);
+      // A reduce stream keeps the live set it opened with: a failure on its
+      // tree freezes it instead, and a repair never refreshes it.
+      live.push_back(st.reduce ? st.open_live : live_links(fab.topo, st));
+    }
+    // Slots in ascending link id, as the fill breaks ties by link id.
+    std::map<LinkId, std::uint32_t> slot;
+    std::map<LinkId, int> count;
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      for (std::size_t j = 0; j < active[i]->links.size(); ++j) {
+        if (live[i][j]) ++count[active[i]->links[j]];
+      }
+    }
+    Incidence inc;
+    for (const auto& [l, n] : count) {
+      slot[l] = static_cast<std::uint32_t>(inc.capacity.size());
+      inc.capacity.push_back(fab.topo.link(l).rate.bytes_per_ns());
+    }
+    // Components over shared live links (union-find on slots).
+    std::vector<std::uint32_t> parent(inc.capacity.size());
+    for (std::uint32_t i = 0; i < parent.size(); ++i) parent[i] = i;
+    const auto find = [&parent](std::uint32_t x) {
+      while (parent[x] != x) x = parent[x] = parent[parent[x]];
+      return x;
+    };
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      std::vector<std::uint32_t> mine;
+      for (std::size_t j = 0; j < active[i]->links.size(); ++j) {
+        if (live[i][j]) mine.push_back(slot[active[i]->links[j]]);
+      }
+      for (const std::uint32_t s : mine) parent[find(s)] = find(mine[0]);
+      inc.add_flow(mine);
+    }
+    std::vector<char> stale(parent.size(), 0);
+    for (const LinkId l : net.stale_links()) {
+      if (slot.contains(l)) stale[find(slot[l])] = 1;
+    }
+    const std::vector<double> fair = progressive_fill_oracle(inc);
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      const SoakStream& st = *active[i];
+      const std::uint32_t b = inc.flow_begin[i];
+      const std::uint32_t e = inc.flow_begin[i + 1];
+      if (b != e && stale[find(inc.flow_slots[b])]) continue;
+      double want;
+      if (b == e) {
+        want = 1e6;
+        for (const LinkId l : st.links) {
+          want = std::min(want, fab.topo.link(l).rate.bytes_per_ns());
+        }
+      } else {
+        want = fair[i];
+        bool contended = false;
+        for (std::size_t j = 0; j < st.links.size(); ++j) {
+          if (live[i][j] && count[st.links[j]] >= 2) contended = true;
+        }
+        if (contended) {
+          switch (st.mode) {
+            case CnpMode::SenderGuard:
+              want *= sim.flow.guard_utilization;
+              break;
+            case CnpMode::ReceiverTimer:
+              want *= st.receivers > 1
+                          ? sim.flow.receiver_timer_multicast_utilization
+                          : sim.flow.receiver_timer_unicast_utilization;
+              break;
+            case CnpMode::Unthrottled:
+              want *= sim.flow.unthrottled_utilization;
+              break;
+          }
+        }
+      }
+      EXPECT_EQ(net.stream_rate(st.id), want)
+          << "seed " << seed << " stream " << st.id << " at "
+          << queue.now() << " ns";
+      ++compared;
+    }
+  };
+
+  std::uint64_t solves = 0;
+  while (queue.step()) {
+    if (net.rate_recomputes() == solves) continue;
+    solves = net.rate_recomputes();
+    check();
+    if (::testing::Test::HasFailure()) break;
+  }
+  return compared;
+}
+
+TEST(FlowSolverSoak, IncrementalSolvesMatchFullFill) {
+  std::size_t compared = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    compared += run_soak(seed, 300);
+    if (::testing::Test::HasFailure()) break;
+  }
+  EXPECT_GT(compared, 10000u);
+}
+
+TEST(FlowSolverSoakSlow, IncrementalSolvesMatchFullFill) {
+  std::size_t compared = 0;
+  for (std::uint64_t seed = 1000; seed < 1400; ++seed) {
+    compared += run_soak(seed, 1500);
+    if (::testing::Test::HasFailure()) break;
+  }
+  EXPECT_GT(compared, 100000u);
 }
 
 }  // namespace
