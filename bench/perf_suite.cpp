@@ -4,7 +4,8 @@
 // AllReduce (host-side Peel plus the in-network InNet AllReduce) on 8-ary
 // and 16-ary fat-trees, with and without flapping links —
 // plus a component microbench section (raw scheduler throughput at three
-// queue-depth regimes, control-plane tree-builds/sec, memoized lookups/sec)
+// queue-depth regimes and under same-instant fan-out bursts of 8 and 512,
+// control-plane tree-builds/sec, memoized lookups/sec)
 // and writes BENCH_sim.json (events/sec, segments/sec, wall time, peak RSS,
 // plan-cache hit rate per cell, microbench columns) so successive PRs can
 // compare data-plane throughput on the same workload. The reference cell for
@@ -66,6 +67,19 @@ namespace {
 }
 
 [[nodiscard]] const char* json_bool(bool b) { return b ? "true" : "false"; }
+
+/// Every cell runs once unmeasured before its timed run. Each run builds its
+/// own engine, so the timed run must reproduce the warm-up's CCTs exactly;
+/// anything else is a determinism bug, and the suite stops on it.
+void require_same_ccts(const ScenarioResult& warmup,
+                       const ScenarioResult& measured, const char* cell) {
+  if (warmup.cct_seconds.values() == measured.cct_seconds.values()) return;
+  std::fprintf(stderr,
+               "perf_suite: %s: the timed run's CCTs differ from its "
+               "warm-up's -- the simulation is not deterministic\n",
+               cell);
+  std::abort();
+}
 
 // ---------------------------------------------------------------------------
 // Default mode: the measured perf grid.
@@ -146,11 +160,13 @@ ScenarioConfig sharded_cell_config(int samples) {
   for (int shards : {1, 2, 4, 8}) {
     ScenarioConfig config = base;
     config.shards = shards;
-    run_scenario(fabric, config);  // unmeasured warmup (see the grid above)
+    // Unmeasured warmup (see the grid above).
+    const ScenarioResult warmup = run_scenario(fabric, config);
     const auto start = std::chrono::steady_clock::now();
     ScenarioResult r = run_scenario(fabric, config);
     const std::chrono::duration<double> wall =
         std::chrono::steady_clock::now() - start;
+    require_same_ccts(warmup, r, "sharded cell");
     ShardedCellResult cell;
     cell.shards = shards;
     cell.wall_seconds = wall.count();
@@ -248,11 +264,13 @@ struct FlowFidelityResults {
                                            /*faults=*/false, samples);
   for (const Fidelity fidelity : {Fidelity::Packet, Fidelity::Flow}) {
     config.fidelity = fidelity;
-    run_scenario(fabric, config);  // unmeasured warmup, as in the grid
+    // Unmeasured warmup, as in the grid.
+    const ScenarioResult warmup = run_scenario(fabric, config);
     const auto start = std::chrono::steady_clock::now();
     ScenarioResult r = run_scenario(fabric, config);
     const std::chrono::duration<double> wall =
         std::chrono::steady_clock::now() - start;
+    require_same_ccts(warmup, r, "flow-fidelity cell");
     std::printf("  fidelity=%-6s %8.2fs wall  %12llu events  %9.0f events/s\n",
                 to_string(fidelity), wall.count(),
                 static_cast<unsigned long long>(r.events),
@@ -334,28 +352,33 @@ struct FlowFidelityResults {
 // regression lives.
 // ---------------------------------------------------------------------------
 
-/// Self-sustaining event churn: every fired event reschedules itself a
-/// pseudo-random delta ahead, so the queue holds a constant population while
-/// the clock advances — the pop-one-push-one steady state of a simulation.
-struct ChurnSink final : SimEventSink {
-  EventQueue* queue = nullptr;
+/// Pseudo-random scheduling deltas: mostly ladder-scale (1 ns – ~8 µs, the
+/// serialization/propagation range) with every 256th thrown ~1 ms out, so
+/// rungs, the active heap, overflow, and rebase all stay on the measured
+/// path.
+struct LadderDeltas {
   std::uint64_t lcg = 0x2545F4914F6CDD1DULL;
-  std::uint64_t remaining = 0;
 
-  /// Mostly ladder-scale deltas (1 ns – ~8 µs, the serialization/propagation
-  /// range) with every 256th event thrown ~1 ms out, so rungs, the active
-  /// heap, overflow, and rebase all stay on the measured path.
-  SimTime next_delta() noexcept {
+  SimTime next() noexcept {
     lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
     const std::uint64_t draw = lcg >> 33;
     if ((draw & 0xff) == 0) return kMillisecond;
     return 1 + static_cast<SimTime>(draw % 8192);
   }
+};
+
+/// Self-sustaining event churn: every fired event reschedules itself a
+/// pseudo-random delta ahead, so the queue holds a constant population while
+/// the clock advances — the pop-one-push-one steady state of a simulation.
+struct ChurnSink final : SimEventSink {
+  EventQueue* queue = nullptr;
+  LadderDeltas deltas;
+  std::uint64_t remaining = 0;
 
   void on_sim_event(const SimEvent& ev) override {
     if (remaining == 0) return;
     --remaining;
-    queue->after(next_delta(), ev);
+    queue->after(deltas.next(), ev);
   }
 };
 
@@ -369,7 +392,53 @@ struct ChurnSink final : SimEventSink {
   queue.bind_sink(&sink);
   SimEvent ev;
   ev.kind = SimEventKind::Pump;
-  for (std::size_t i = 0; i < depth; ++i) queue.after(sink.next_delta(), ev);
+  for (std::size_t i = 0; i < depth; ++i) queue.after(sink.deltas.next(), ev);
+
+  const auto start = std::chrono::steady_clock::now();
+  while (queue.processed() < ops && queue.step()) {
+  }
+  const std::chrono::duration<double> wall =
+      std::chrono::steady_clock::now() - start;
+  return static_cast<double>(queue.processed()) / wall.count();
+}
+
+/// Multicast fan-out: the queue holds `depth` events in same-instant bursts
+/// of `burst` (a switch replicating a segment onto every out-link, a CNP
+/// from every receiver); the last member of each burst schedules the next
+/// burst a ladder-scale delta ahead.
+struct FanoutSink final : SimEventSink {
+  EventQueue* queue = nullptr;
+  LadderDeltas deltas;
+  std::int32_t burst = 1;
+  std::uint64_t remaining = 0;
+
+  void schedule_burst() {
+    const SimTime t = queue->now() + deltas.next();
+    SimEvent ev;
+    ev.kind = SimEventKind::Pump;
+    for (ev.b = 0; ev.b < burst; ++ev.b) queue->at(t, ev);
+  }
+
+  void on_sim_event(const SimEvent& ev) override {
+    if (ev.b + 1 < burst || remaining == 0) return;
+    remaining -= std::min<std::uint64_t>(remaining,
+                                         static_cast<std::uint64_t>(burst));
+    schedule_burst();
+  }
+};
+
+/// Scheduler throughput under same-instant bursts at a fixed queue depth.
+[[nodiscard]] double fanout_events_per_sec(std::size_t depth, int burst,
+                                           std::uint64_t ops) {
+  EventQueue queue;
+  FanoutSink sink;
+  sink.queue = &queue;
+  sink.burst = burst;
+  sink.remaining = ops;
+  queue.bind_sink(&sink);
+  for (std::size_t i = 0; i < depth; i += static_cast<std::size_t>(burst)) {
+    sink.schedule_burst();
+  }
 
   const auto start = std::chrono::steady_clock::now();
   while (queue.processed() < ops && queue.step()) {
@@ -382,9 +451,13 @@ struct ChurnSink final : SimEventSink {
 struct MicrobenchResults {
   // events/sec at shallow / typical / deep queue populations.
   std::vector<std::pair<std::size_t, double>> scheduler;
+  /// events/sec per same-instant burst size, at kFanoutDepth.
+  std::vector<std::pair<int, double>> fanout;
   double tree_builds_per_sec = 0.0;    ///< raw build_peel_plan, k=16, 64 GPUs
   double cached_lookups_per_sec = 0.0; ///< same key through TreePlanCache
 };
+
+constexpr std::size_t kFanoutDepth = std::size_t{1} << 10;
 
 [[nodiscard]] MicrobenchResults run_microbench() {
   MicrobenchResults r;
@@ -393,6 +466,10 @@ struct MicrobenchResults {
   for (std::size_t depth : {std::size_t{1} << 10, std::size_t{1} << 15,
                             std::size_t{1} << 18}) {
     r.scheduler.emplace_back(depth, scheduler_events_per_sec(depth, sched_ops));
+  }
+  for (int burst : {8, 512}) {
+    r.fanout.emplace_back(burst,
+                          fanout_events_per_sec(kFanoutDepth, burst, sched_ops));
   }
 
   const FatTree ft = build_fat_tree(FatTreeConfig{16, 8, 8});
@@ -433,6 +510,11 @@ void print_microbench(const MicrobenchResults& r) {
     table.add_row({"scheduler steady-state", cell("%zu events", depth),
                    cell("%.0f", eps)});
   }
+  for (const auto& [burst, eps] : r.fanout) {
+    table.add_row({"scheduler fan-out",
+                   cell("%zu events, bursts of %d", kFanoutDepth, burst),
+                   cell("%.0f", eps)});
+  }
   table.add_row({"peel plan build", "k=16, 64 GPUs",
                  cell("%.0f", r.tree_builds_per_sec)});
   table.add_row({"plan cache hit", "same key",
@@ -470,11 +552,12 @@ int run_perf_grid() {
         // the previous cell would otherwise dominate the wall time. Each
         // run constructs its own Network/runner/cache, so the measured
         // run's simulation results and counters are unaffected.
-        run_scenario(fabric, config);
+        const ScenarioResult warmup = run_scenario(fabric, config);
         const auto start = std::chrono::steady_clock::now();
         ScenarioResult r = run_scenario(fabric, config);
         const std::chrono::duration<double> wall =
             std::chrono::steady_clock::now() - start;
+        require_same_ccts(warmup, r, "grid cell");
         PerfCellResult cell;
         cell.scheme = scheme;
         cell.kind = kind;
@@ -751,6 +834,15 @@ int run_perf_grid() {
                  "      {\"queue_depth\": %zu, \"events_per_sec\": %.0f}%s\n",
                  micro.scheduler[i].first, micro.scheduler[i].second,
                  i + 1 < micro.scheduler.size() ? "," : "");
+  }
+  std::fprintf(out, "    ],\n");
+  std::fprintf(out, "    \"fanout\": [\n");
+  for (std::size_t i = 0; i < micro.fanout.size(); ++i) {
+    std::fprintf(out,
+                 "      {\"queue_depth\": %zu, \"burst\": %d, "
+                 "\"events_per_sec\": %.0f}%s\n",
+                 kFanoutDepth, micro.fanout[i].first, micro.fanout[i].second,
+                 i + 1 < micro.fanout.size() ? "," : "");
   }
   std::fprintf(out, "    ],\n");
   std::fprintf(out, "    \"tree_builds_per_sec\": %.0f,\n",

@@ -374,9 +374,11 @@ int run_workload_mode(const Flags& flags,
                 format_seconds(r.job_mean_cct_seconds.p99()).c_str(),
                 p50 > 0.0 ? r.job_mean_cct_seconds.p99() / p50 : 0.0);
   }
-  std::printf("  sim         %.3f s simulated, %llu events, %llu unfinished\n",
+  std::printf("  sim         %.3f s simulated, %llu events (%llu chained into "
+              "same-instant bursts), %llu unfinished\n",
               r.sim.sim_seconds,
               static_cast<unsigned long long>(r.sim.events),
+              static_cast<unsigned long long>(r.sim.events_chained),
               static_cast<unsigned long long>(r.sim.unfinished));
   if (wc.fidelity == Fidelity::Flow) {
     print_flow_solver(r.sim);
@@ -486,7 +488,7 @@ int run_scenario_mode(Flags flags, const std::vector<const char*>& args) {
     cct.reserve(pooled);
   }
   Bytes fabric_bytes = 0, core_bytes = 0, sram_peak = 0;
-  std::uint64_t ecn = 0, pfc = 0, events = 0;
+  std::uint64_t ecn = 0, pfc = 0, events = 0, chained = 0;
   ScenarioResult flow;  // the flow-solver counters, summed over cells
   std::size_t unfinished = 0;
   std::size_t downs = 0, ups = 0, recovered = 0;
@@ -500,6 +502,7 @@ int run_scenario_mode(Flags flags, const std::vector<const char*>& args) {
     ecn += c.result.ecn_marks;
     pfc += c.result.pfc_pauses;
     events += c.result.events;
+    chained += c.result.events_chained;
     flow.flow_solves += c.result.flow_solves;
     flow.flow_solve_requests += c.result.flow_solve_requests;
     flow.flow_rerated += c.result.flow_rerated;
@@ -528,10 +531,13 @@ int run_scenario_mode(Flags flags, const std::vector<const char*>& args) {
               format_bytes(static_cast<double>(fabric_bytes)).c_str());
   std::printf("  core links  %s\n",
               format_bytes(static_cast<double>(core_bytes)).c_str());
-  std::printf("  ECN marks   %llu, PFC pauses %llu, events %llu\n",
+  std::printf("  ECN marks   %llu, PFC pauses %llu\n",
               static_cast<unsigned long long>(ecn),
-              static_cast<unsigned long long>(pfc),
-              static_cast<unsigned long long>(events));
+              static_cast<unsigned long long>(pfc));
+  std::printf("  sim         %llu events (%llu chained into same-instant "
+              "bursts)\n",
+              static_cast<unsigned long long>(events),
+              static_cast<unsigned long long>(chained));
   if (sc.fidelity == Fidelity::Flow) {
     print_flow_solver(flow);
   }

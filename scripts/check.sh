@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: build the plain and sanitized (ASan+UBSan) configurations
-# and run the full test suite under each.
+# and run the full test suite under each. The plain build must print no
+# compiler warning: the script fails on any `warning:` line it emits (on a
+# fresh tree, as in CI, that covers every translation unit; an incremental
+# local build only shows the files it recompiles).
 #
 # Usage: scripts/check.sh [jobs]
 #
@@ -32,7 +35,12 @@ run_config() {
   echo "== configure ${dir} ($*) =="
   cmake -B "${dir}" -S . "$@"
   echo "== build ${dir} =="
-  cmake --build "${dir}" -j "${JOBS}"
+  cmake --build "${dir}" -j "${JOBS}" 2>&1 | tee "${dir}/build.log"
+  if [[ "${dir}" == build ]] && grep -q 'warning:' "${dir}/build.log"; then
+    echo "== ${dir} printed compiler warnings =="
+    grep 'warning:' "${dir}/build.log"
+    exit 1
+  fi
   echo "== ctest ${dir} =="
   (cd "${dir}" && ctest --output-on-failure -j "${JOBS}")
 }

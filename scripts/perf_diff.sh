@@ -7,7 +7,8 @@
 # count plus the shard-invariance signature), the flow-fidelity cells
 # (reference-cell events/sec per fidelity, events reduction, the k=32
 # tenancy sweep), and the microbench columns (scheduler events/sec per
-# queue depth, tree builds/sec, cached lookups/sec).
+# queue depth and per same-instant fan-out burst size, tree builds/sec,
+# cached lookups/sec).
 #
 # Cells are keyed by fidelity since schema v5; v4 baselines (no fidelity
 # key) read as packet. Sharded wall-clock rows are diffed only when both
@@ -181,6 +182,12 @@ nsched = {s["queue_depth"]: s["events_per_sec"] for s in nm.get("scheduler", [])
 for depth in sorted(osched):
     if depth in nsched:
         row(f"scheduler ev/s @ depth {depth}", osched[depth], nsched[depth])
+# Fan-out rows arrived after schema v5; a side without them reads 0 (n/a).
+ofan = {s["burst"]: s["events_per_sec"] for s in om.get("fanout", [])}
+nfan = {s["burst"]: s["events_per_sec"] for s in nm.get("fanout", [])}
+for burst in sorted(set(ofan) | set(nfan)):
+    row(f"scheduler fan-out ev/s @ burst {burst}",
+        ofan.get(burst, 0), nfan.get(burst, 0))
 for col in ("tree_builds_per_sec", "cached_lookups_per_sec"):
     if col in om and col in nm:
         row(col, om[col], nm[col])

@@ -36,6 +36,9 @@ struct SoloEngine {
   [[nodiscard]] bool empty() const { return queue.empty(); }
   [[nodiscard]] SimTime now() const { return queue.now(); }
   [[nodiscard]] std::uint64_t events() const { return queue.processed(); }
+  [[nodiscard]] std::uint64_t events_chained() const {
+    return queue.chained();
+  }
   [[nodiscard]] std::uint64_t segments_serialized() const {
     return net.segments_serialized();
   }
@@ -79,6 +82,9 @@ struct FlowEngine {
   [[nodiscard]] bool empty() const { return queue.empty(); }
   [[nodiscard]] SimTime now() const { return queue.now(); }
   [[nodiscard]] std::uint64_t events() const { return queue.processed(); }
+  [[nodiscard]] std::uint64_t events_chained() const {
+    return queue.chained();
+  }
   [[nodiscard]] std::uint64_t segments_serialized() const {
     return net.segments_serialized();
   }
@@ -127,6 +133,9 @@ struct ShardedEngine {
   [[nodiscard]] bool empty() const { return net.empty(); }
   [[nodiscard]] SimTime now() const { return net.now(); }
   [[nodiscard]] std::uint64_t events() const { return net.events_processed(); }
+  [[nodiscard]] std::uint64_t events_chained() const {
+    return net.events_chained();
+  }
   [[nodiscard]] std::uint64_t segments_serialized() const {
     return net.segments_serialized();
   }

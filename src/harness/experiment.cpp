@@ -214,6 +214,7 @@ ScenarioResult run_scenario_with(Engine& engine, const Fabric& fabric,
       bytes_on_links(engine.data(), fabric.topo(), true, false, false);
   result.sim_seconds = sim_to_seconds(engine.now());
   result.events = engine.events();
+  result.events_chained = engine.events_chained();
   result.segments = engine.segments_serialized();
   result.segments_lost = engine.segments_lost();
   result.pfc_pauses = engine.pfc_pauses();

@@ -137,6 +137,9 @@ struct ScenarioResult {
   Bytes core_bytes = 0;
   double sim_seconds = 0.0;       ///< simulated wall-clock at drain
   std::uint64_t events = 0;       ///< discrete events processed
+  /// Of those, PODs the queue chained into a same-instant burst behind an
+  /// earlier entry (EventQueue::chained) instead of a ladder entry each.
+  std::uint64_t events_chained = 0;
   std::uint64_t segments = 0;     ///< segments serialized across all links
   /// Segments an outage ate: enqueued at a dead port, queued behind a
   /// failure, or in flight when the wire died (Network::segments_lost).

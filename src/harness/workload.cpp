@@ -420,6 +420,7 @@ WorkloadResult run_workload_with(Engine& engine, const Fabric& fabric,
       bytes_on_links(engine.data(), fabric.topo(), true, false, false);
   sim.sim_seconds = sim_to_seconds(engine.now());
   sim.events = engine.events();
+  sim.events_chained = engine.events_chained();
   sim.segments = engine.segments_serialized();
   sim.segments_lost = engine.segments_lost();
   sim.pfc_pauses = engine.pfc_pauses();

@@ -23,6 +23,7 @@ void EventQueue::at(SimTime t, Action fn) {
 void EventQueue::insert_slow(const PodEntry& entry) {
   // pod_count_ was already incremented by the caller.
   const std::int64_t bn = entry.t >> shift_;
+  std::size_t tier = kOverflowTier;
   if (pod_count_ > 1 && bn < bucket_hi_) {
     // Boundary hardening: an entry reaching this branch sits at or past
     // window_end_ (side_ claims everything below it), so its bucket
@@ -35,15 +36,54 @@ void EventQueue::insert_slow(const PodEntry& entry) {
           std::to_string(entry.t) + " ns, window_end=" +
           std::to_string(window_end_) + " ns)");
     }
-    rungs_[static_cast<std::size_t>(bn & kBucketMask)].push_back(entry);
+    tier = static_cast<std::size_t>(bn & kBucketMask);
     ++rung_count_;
-    return;
   }
-  overflow_.push_back(entry);
-  if (pod_count_ == 1) rebase();  // first pod after a drain: re-center on it
+  tier_of(tier).push_back(entry);
+  if (pod_count_ == 1) {
+    rebase();  // first pod after a drain: re-center on it (lands in a rung)
+    tier = static_cast<std::size_t>((entry.t >> shift_) & kBucketMask);
+  }
+  anchor_tier_ = tier;
+  anchor_pos_ = tier_of(tier).size() - 1;
+  anchor_t_ = entry.t;
+  anchor_seq_ = next_seq_;
+}
+
+void EventQueue::chain_onto_anchor(const SimEvent& ev) {
+  PodEntry& head = tier_of(anchor_tier_)[anchor_pos_];
+  if (head.burst == 0) {
+    if (free_bursts_.empty()) {
+      bursts_.emplace_back();
+      head.burst = static_cast<std::uint32_t>(bursts_.size());
+    } else {
+      head.burst = free_bursts_.back() + 1;
+      free_bursts_.pop_back();
+    }
+  }
+  bursts_[head.burst - 1].push_back(ev);
+  anchor_seq_ = ++next_seq_;
+  ++chained_;
+}
+
+void EventQueue::fire_chained() {
+  std::vector<SimEvent>& burst = bursts_[active_];
+  const SimEvent ev = burst[active_pos_++];
+  if (active_pos_ == burst.size()) {
+    burst.clear();
+    free_bursts_.push_back(active_);
+    active_ = kNoBurst;
+  }
+  --pod_count_;
+  ++processed_;
+  if (sink_ == nullptr) {
+    throw std::logic_error("EventQueue: SimEvent fired with no sink bound");
+  }
+  sink_->on_sim_event(ev);
 }
 
 void EventQueue::advance() {
+  anchor_seq_ = kNoAnchor;
   for (;;) {
     while (rung_count_ > 0) {
       std::vector<PodEntry>& bucket =
@@ -85,6 +125,7 @@ void EventQueue::sort_run(std::vector<PodEntry>& bucket) {
 }
 
 void EventQueue::rebase() {
+  anchor_seq_ = kNoAnchor;
   const auto [lo, hi] = std::minmax_element(
       overflow_.begin(), overflow_.end(),
       [](const PodEntry& a, const PodEntry& b) { return a.t < b.t; });
@@ -118,6 +159,10 @@ const EventQueue::PodEntry* EventQueue::next_pod() {
 }
 
 bool EventQueue::next_event_time(SimTime& t) {
+  if (active_ != kNoBurst) {
+    t = now_;  // the rest of the burst fires before anything else
+    return true;
+  }
   const PodEntry* pod = next_pod();
   if (pod == nullptr && acts_.empty()) return false;
   t = pod != nullptr ? pod->t : acts_.front().t;
@@ -125,6 +170,10 @@ bool EventQueue::next_event_time(SimTime& t) {
 }
 
 bool EventQueue::step() {
+  if (active_ != kNoBurst) {
+    fire_chained();
+    return true;
+  }
   const PodEntry* pod = next_pod();
   if (pod == nullptr && acts_.empty()) return false;
   if (pod != nullptr) {
@@ -138,6 +187,10 @@ bool EventQueue::step() {
     --pod_count_;
     now_ = entry.t;
     ++processed_;
+    if (entry.burst != 0) {
+      active_ = entry.burst - 1;
+      active_pos_ = 0;
+    }
     if (sink_ == nullptr) {
       throw std::logic_error("EventQueue: SimEvent fired with no sink bound");
     }
@@ -153,19 +206,27 @@ bool EventQueue::step() {
   return true;
 }
 
+// A burst shares its head's timestamp, so once the head is inside a
+// horizon the whole burst is.
 void EventQueue::run() {
-  while (step()) {}
+  while (step()) drain_burst();
 }
 
 void EventQueue::run_until(SimTime t) {
   SimTime next = 0;
-  while (next_event_time(next) && next <= t) step();
+  while (next_event_time(next) && next <= t) {
+    step();
+    drain_burst();
+  }
   if (now_ < t) now_ = t;
 }
 
 void EventQueue::run_window(SimTime end) {
   SimTime next = 0;
-  while (next_event_time(next) && next < end) step();
+  while (next_event_time(next) && next < end) {
+    step();
+    drain_burst();
+  }
 }
 
 }  // namespace peel

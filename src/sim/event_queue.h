@@ -30,6 +30,15 @@
 //     the bucket stride (shift_) until the span fits — correctness never
 //     depends on the bucket width, only the constant factors do.
 //
+// Same-instant bursts (a switch copying a segment onto every out-link of a
+// tree node, a CNP from every receiver of a marked multicast) cost one
+// ladder entry: a POD scheduled at the same timestamp as the insert just
+// before it, taking the very next sequence number, is chained behind that
+// entry while it still sits in a rung or in overflow_. No other event can
+// order between two such inserts, so the chain fires as a contiguous run
+// right after its head, each member keeping its own sequence number (head
+// seq + position). step() still fires one event per call.
+//
 // Every tier orders by the same (t, seq) key, so firing order is identical
 // to the single-heap implementation this replaced (the `perf_suite --check`
 // byte-identical CSV gate and the thread-invariance tests enforce that).
@@ -103,8 +112,12 @@ class EventQueue {
   /// be bound (bind_sink) before the event fires.
   void at(SimTime t, const SimEvent& ev) {
     check_not_past(t);
-    const PodEntry entry{t, next_seq_++, ev};
     ++pod_count_;
+    if (next_seq_ == anchor_seq_ && t == anchor_t_) {
+      chain_onto_anchor(ev);
+      return;
+    }
+    const PodEntry entry{t, next_seq_++, ev};
     if (pod_count_ > 1 && t < window_end_) {
       side_.push_back(entry);
       std::push_heap(side_.begin(), side_.end(), Later{});
@@ -128,6 +141,9 @@ class EventQueue {
     return pod_count_ + acts_.size();
   }
   [[nodiscard]] std::uint64_t processed() const noexcept { return processed_; }
+  /// PODs scheduled into a same-instant burst behind an earlier entry
+  /// instead of taking a ladder entry of their own (counted at insert).
+  [[nodiscard]] std::uint64_t chained() const noexcept { return chained_; }
 
   /// Runs the earliest event; returns false if the queue was empty.
   bool step();
@@ -162,7 +178,11 @@ class EventQueue {
     SimTime t;
     std::uint64_t seq;
     SimEvent ev;
+    /// 1 + index into bursts_ of the events chained behind this one; 0 =
+    /// none. Occupies what would otherwise be tail padding.
+    std::uint32_t burst = 0;
   };
+  static_assert(sizeof(PodEntry) == 48, "the chain index must fit padding");
   struct ClosureEntry {
     SimTime t;
     std::uint64_t seq;
@@ -187,7 +207,17 @@ class EventQueue {
 
   void check_not_past(SimTime t) const;
   /// Cold insert paths: first pod (ladder reset), rung push, or overflow.
+  /// The entry becomes the chaining anchor.
   void insert_slow(const PodEntry& entry);
+  /// Appends `ev` to the burst behind the anchor entry (taking the next
+  /// sequence number). Precondition: the anchor is live and adjacent.
+  void chain_onto_anchor(const SimEvent& ev);
+  /// Fires the next event of the active burst.
+  void fire_chained();
+  /// Fires the rest of the active burst (if any) in a tight loop.
+  void drain_burst() {
+    while (active_ != kNoBurst) fire_chained();
+  }
   /// Earliest pending POD if it fires before every closure, else nullptr.
   const PodEntry* next_pod();
   /// Refills run_ from the next non-empty rung (rebasing from overflow when
@@ -204,7 +234,9 @@ class EventQueue {
   //   rung entries        : window_end_ <= t < bucket_hi_ << shift_, in seq
   //                         order in rung (t >> shift_) & kBucketMask
   //   overflow entries    : t >= bucket_hi_ << shift_, in seq order
-  // so the earlier of run_[head_] and side_'s top is the POD minimum.
+  // so, once the active burst is spent, the earlier of run_[head_] and
+  // side_'s top is the POD minimum. pod_count_ counts every POD, chained
+  // burst members included; rung_count_ counts rung entries.
   // bucket_hi_ is pinned between rebases: the ladder frontier must NOT
   // slide forward as bucket_lo_ advances, or a fresh rung insert could land
   // past an entry already parked in overflow and fire before it.
@@ -220,6 +252,30 @@ class EventQueue {
   std::int64_t bucket_lo_ = 0;   ///< first rung's absolute bucket number
   std::int64_t bucket_hi_ = 0;   ///< ladder frontier (absolute bucket number)
   SimTime window_end_ = 0;       ///< run_ and side_ cover [now, window_end_)
+
+  // Same-instant bursts. The anchor is the entry the last POD insert put in
+  // a rung or in overflow_, named by position (tier, index) because
+  // push_backs may move it. It takes chained inserts only while
+  // next_seq_ == anchor_seq_ (nothing else was scheduled since) and the
+  // timestamp matches; advance() and rebase() move entries between tiers,
+  // so they drop it (anchor_seq_ = kNoAnchor).
+  static constexpr std::uint64_t kNoAnchor = ~std::uint64_t{0};
+  static constexpr std::uint32_t kNoBurst = ~std::uint32_t{0};
+  static constexpr std::size_t kOverflowTier = kBuckets;  ///< else a rung
+  std::vector<PodEntry>& tier_of(std::size_t tier) {
+    return tier == kOverflowTier ? overflow_ : rungs_[tier];
+  }
+  std::size_t anchor_tier_ = kOverflowTier;
+  std::size_t anchor_pos_ = 0;
+  SimTime anchor_t_ = 0;
+  std::uint64_t anchor_seq_ = kNoAnchor;
+  /// Chained payloads, recycled through free_bursts_ (capacity kept, so the
+  /// steady state allocates nothing).
+  std::vector<std::vector<SimEvent>> bursts_;
+  std::vector<std::uint32_t> free_bursts_;
+  std::uint32_t active_ = kNoBurst;  ///< burst firing now (its head fired)
+  std::size_t active_pos_ = 0;       ///< next member of the active burst
+  std::uint64_t chained_ = 0;
 
   /// Control-plane closures: rare, so a plain binary heap is fine.
   std::vector<ClosureEntry> acts_;

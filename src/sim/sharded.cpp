@@ -439,6 +439,12 @@ std::uint64_t ShardedNetwork::events_processed() const {
   return n;
 }
 
+std::uint64_t ShardedNetwork::events_chained() const {
+  std::uint64_t n = control_.chained();
+  for (const auto& dom : domains_) n += dom->queue.chained();
+  return n;
+}
+
 Bytes ShardedNetwork::total_bytes_serialized() const {
   Bytes n = 0;
   for (const auto& dom : domains_) n += dom->net->total_bytes_serialized();

@@ -114,6 +114,8 @@ class ShardedNetwork final : public DataPlane {
   [[nodiscard]] SimTime now() const;
   /// Total events processed across the control queue and all domains.
   [[nodiscard]] std::uint64_t events_processed() const;
+  /// Same-instant burst members across all queues (EventQueue::chained).
+  [[nodiscard]] std::uint64_t events_chained() const;
 
   [[nodiscard]] int domain_count() const noexcept { return domain_total_; }
   [[nodiscard]] int worker_count() const noexcept { return workers_; }

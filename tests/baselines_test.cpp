@@ -18,8 +18,8 @@ TEST(Rsbf, ElementsGrowCubically) {
 TEST(Rsbf, BloomBitsFormula) {
   // n * ln(1/f) / ln^2(2): 1000 elements at 1% ~ 9585 bits.
   EXPECT_NEAR(bloom_filter_bits(1000, 0.01), 9585.0, 5.0);
-  EXPECT_THROW(bloom_filter_bits(10, 0.0), std::invalid_argument);
-  EXPECT_THROW(bloom_filter_bits(10, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)bloom_filter_bits(10, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)bloom_filter_bits(10, 1.0), std::invalid_argument);
 }
 
 TEST(Rsbf, HeaderExceedsMtuPastK32) {

@@ -1,14 +1,17 @@
 // Ladder-scheduler tests: the (t, seq) total order across every storage tier
 // of the EventQueue — the active window's sorted run and side heap, rungs,
-// overflow, and the closure heap. The data-plane determinism gate
-// (perf_suite --check) would catch a global ordering break eventually; these
-// tests pin the contract at the unit level, including the tier-boundary
-// cases a scenario may not visit.
+// overflow, same-instant bursts chained behind one entry, and the closure
+// heap. The data-plane determinism gate (perf_suite --check) would catch a
+// global ordering break eventually; these tests pin the contract at the unit
+// level, including the tier-boundary cases a scenario may not visit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <iterator>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "src/sim/event_queue.h"
@@ -460,6 +463,201 @@ TEST(EventQueueWindow, NextEventTimePeeksMinAcrossTiers) {
 
   q.run();
   EXPECT_FALSE(q.next_event_time(t));
+}
+
+// --- Same-instant bursts (PODs chained behind one ladder entry) -----------
+
+// A POD scheduled at the timestamp of the insert just before it, taking the
+// next sequence number, rides behind that entry while it sits in a rung or
+// in overflow; anything scheduled in between (a closure, an active-window
+// insert) or a timestamp change starts a new entry.
+TEST(EventQueueBursts, ChainsOnlyAdjacentSameInstantInserts) {
+  EventQueue q;
+  RecordingSink sink;
+  q.bind_sink(&sink);
+  std::vector<std::int32_t> order;
+
+  q.at(10, labeled(0));                          // first pod: active window
+  for (std::int32_t i = 1; i <= 4; ++i) q.at(5'000, labeled(i));  // rung
+  EXPECT_EQ(q.chained(), 3u);
+  q.at(5'000, [&] { order.push_back(5); });      // closure: ends the chain
+  q.at(5'000, labeled(6));                       // new rung entry
+  q.at(5'000, labeled(7));                       // chained behind 6
+  q.at(5'001, labeled(8));                       // next instant: new entry
+  q.at(9'000'000, labeled(9));                   // overflow
+  q.at(9'000'000, labeled(10));                  // chained in overflow
+  EXPECT_EQ(q.chained(), 5u);
+  EXPECT_EQ(q.pending(), 11u);
+
+  q.run();
+  EXPECT_EQ(sink.fired, (std::vector<std::int32_t>{0, 1, 2, 3, 4, 6, 7, 8, 9,
+                                                   10}));
+  EXPECT_EQ(order, (std::vector<std::int32_t>{5}));
+  EXPECT_EQ(q.processed(), 11u);
+  EXPECT_TRUE(q.empty());
+}
+
+// Burst oracle: random schedules rich in same-instant runs of 1-512 PODs (a
+// switch replicating a segment onto every out-link, a CNP from every
+// receiver), checked against a sorted (t, seq) reference on every fired
+// event and after every step(): order, processed(), pending(), now() and
+// next_event_time. The mix covers after(0) inserts and fresh bursts made
+// from inside dispatch, closures interleaved at the burst instant,
+// run_until / run_window horizons landing exactly on a burst, advance_to
+// followed by an external insert at the horizon (the sharded engine's
+// mailbox drain), and far timers whose rebase widens the stride so bursts
+// chain in overflow and re-enter wide rungs.
+TEST(EventQueueBursts, RandomBurstSchedulesMatchReferenceStepByStep) {
+  EventQueue q;
+  RecordingSink sink;
+  q.bind_sink(&sink);
+
+  using Key = std::tuple<SimTime, std::uint64_t, std::int32_t>;
+  std::set<Key> ref;  // pending events in (t, seq) order
+  std::uint64_t seq = 0;
+  std::uint64_t fired = 0;
+  std::int32_t next_label = 0;
+  bool diverged = false;
+  std::uint64_t lcg = 0x9e3779b97f4a7c15ULL;
+  const auto draw = [&lcg] {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    return lcg >> 33;
+  };
+
+  // Every fired event must be the reference minimum, with the counters
+  // already reflecting it when its handler runs.
+  const auto on_fire = [&](std::int32_t label) {
+    if (diverged) return;
+    if (ref.empty() || std::get<2>(*ref.begin()) != label) {
+      ADD_FAILURE() << "event " << label << " fired out of (t, seq) order "
+                    << "after " << fired << " events";
+      diverged = true;
+      return;
+    }
+    const SimTime t = std::get<0>(*ref.begin());
+    ref.erase(ref.begin());
+    ++fired;
+    if (q.now() != t || q.processed() != fired || q.pending() != ref.size()) {
+      ADD_FAILURE() << "counters diverged at event " << label << ": now "
+                    << q.now() << " vs " << t << ", processed "
+                    << q.processed() << " vs " << fired << ", pending "
+                    << q.pending() << " vs " << ref.size();
+      diverged = true;
+    }
+  };
+  const auto pod = [&](SimTime t) {
+    const std::int32_t label = next_label++;
+    ref.insert({t, seq++, label});
+    q.at(t, labeled(label));
+  };
+  const auto closure = [&](SimTime t) {
+    const std::int32_t label = next_label++;
+    ref.insert({t, seq++, label});
+    q.at(t, [&on_fire, label] { on_fire(label); });
+  };
+  const auto burst_size = [&]() -> int {
+    static constexpr int kSizes[] = {1, 2, 3, 8, 8, 64, 512};
+    return kSizes[draw() % std::size(kSizes)];
+  };
+  // A burst at `t`, sometimes cut by a closure at the same instant or by a
+  // straggler one nanosecond later (either must start a new entry).
+  const auto burst = [&](SimTime t) {
+    const int n = burst_size();
+    const int cut = static_cast<int>(draw() % static_cast<std::uint64_t>(n));
+    const std::uint64_t how = draw() % 4;
+    for (int i = 0; i < n; ++i) {
+      if (i == cut && how == 0) closure(t);
+      if (i == cut && how == 1) pod(t + 1);
+      pod(t);
+    }
+  };
+  const auto check_peek = [&] {
+    SimTime t = -1;
+    const bool has = q.next_event_time(t);
+    if (has != !ref.empty() ||
+        (has && t != std::get<0>(*ref.begin()))) {
+      ADD_FAILURE() << "next_event_time " << (has ? t : -1) << " vs "
+                    << (ref.empty() ? -1 : std::get<0>(*ref.begin()));
+      diverged = true;
+    }
+  };
+
+  int spawns = 40'000;
+  sink.react = [&](const SimEvent& ev) {
+    on_fire(ev.a);
+    if (spawns <= 0 || diverged) return;
+    switch (draw() % 16) {
+      case 0: --spawns; pod(q.now()); break;  // after(0): active window
+      case 1: --spawns; pod(q.now() + 1); break;
+      case 2: --spawns; closure(q.now()); break;
+      case 3:  // the fan-out: a burst a serialization time ahead
+        spawns -= 8;
+        burst(q.now() + 50 + static_cast<SimTime>(draw() % 3'000));
+        break;
+      case 4:  // several replicas each scheduling a follow-up
+        spawns -= 2;
+        pod(q.now() + 700);
+        pod(q.now() + 700);
+        break;
+      default: break;
+    }
+  };
+
+  // Burst instants still pending, for the horizons to land on.
+  std::vector<SimTime> instants;
+  for (int round = 0; round < 160 && !diverged; ++round) {
+    const SimTime now = q.now();
+    SimTime at = now;
+    switch (draw() % 8) {
+      case 0: at = now + static_cast<SimTime>(draw() % 64); break;
+      case 1:  // far: overflow, then a rebase with a widened stride
+        at = now + 1'000'000 + static_cast<SimTime>(draw() % 4'000'000);
+        break;
+      default: at = now + 64 + static_cast<SimTime>(draw() % 30'000); break;
+    }
+    burst(at);
+    instants.push_back(at);
+    if (draw() % 4 == 0) burst(at + 64 + static_cast<SimTime>(draw() % 5'000));
+
+    const std::uint64_t action = draw() % 4;
+    if (action == 0) {
+      for (int i = static_cast<int>(draw() % 400); i > 0 && !diverged; --i) {
+        if (!q.step()) break;
+        check_peek();
+      }
+      continue;
+    }
+    // A horizon exactly on a pending burst instant.
+    std::erase_if(instants, [&](SimTime t) { return t < q.now(); });
+    if (instants.empty()) continue;
+    const SimTime h = instants[draw() % instants.size()];
+    if (action == 1) {
+      q.run_until(h);
+      EXPECT_EQ(q.now(), h);
+    } else {
+      q.run_window(h);  // the burst at h stays pending
+      check_peek();
+      if (action == 3) {
+        q.advance_to(h);
+        EXPECT_EQ(q.now(), h);
+        pod(h);  // a mailbox arrival at the horizon, then more of its burst
+        burst(h);
+        closure(h);
+      }
+    }
+    EXPECT_EQ(q.processed(), fired);
+    EXPECT_EQ(q.pending(), ref.size());
+    check_peek();
+  }
+  while (!diverged && q.step()) check_peek();
+
+  EXPECT_FALSE(diverged);
+  EXPECT_TRUE(ref.empty());
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.processed(), fired);
+  EXPECT_EQ(fired, seq);
+  // The schedule must actually exercise chaining, not just pass around it.
+  EXPECT_GT(q.chained(), seq / 4);
 }
 
 }  // namespace

@@ -15,7 +15,7 @@ TEST(Prefix, IdBits) {
   EXPECT_EQ(id_bits(32), 5);   // k=64 fat-tree: 32 ToRs per pod
   EXPECT_EQ(id_bits(48), 6);   // 48-leaf leaf-spine
   EXPECT_EQ(id_bits(64), 6);   // k=128
-  EXPECT_THROW(id_bits(0), std::invalid_argument);
+  EXPECT_THROW((void)id_bits(0), std::invalid_argument);
 }
 
 TEST(Prefix, HeaderBitsFormula) {
@@ -75,8 +75,8 @@ TEST(Prefix, EncodeDecodeRoundTrip) {
 }
 
 TEST(Prefix, EncodeRejectsMalformed) {
-  EXPECT_THROW(encode_tuple(Prefix{4, 2}, 3), std::out_of_range);  // value >= 2^len
-  EXPECT_THROW(encode_tuple(Prefix{0, 5}, 3), std::out_of_range);  // len > m
+  EXPECT_THROW((void)encode_tuple(Prefix{4, 2}, 3), std::out_of_range);  // value >= 2^len
+  EXPECT_THROW((void)encode_tuple(Prefix{0, 5}, 3), std::out_of_range);  // len > m
 }
 
 TEST(RuleTable, SizeMatchesFormula) {
@@ -92,7 +92,7 @@ TEST(RuleTable, MatchesExactBlocks) {
   EXPECT_EQ(upper, (std::vector<int>{4, 5, 6, 7}));
   const auto& one = table.match(Prefix{2, 3});
   EXPECT_EQ(one, (std::vector<int>{2}));
-  EXPECT_THROW(table.match(Prefix{9, 2}), std::out_of_range);
+  EXPECT_THROW((void)table.match(Prefix{9, 2}), std::out_of_range);
 }
 
 TEST(RuleTable, UnequippedPortsDropped) {
