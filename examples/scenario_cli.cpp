@@ -277,11 +277,16 @@ void print_flow_solver(const ScenarioResult& r) {
   };
   std::printf("  flow solver %llu solve(s) for %llu request(s), %.1f "
               "coalesced per solve, %.1f flows re-rated per solve, %.1f "
-              "rates changed per solve\n",
+              "rates changed per solve, %llu whole-component fill(s) (%llu "
+              "after stale links, %llu cascade re-runs)\n",
               static_cast<unsigned long long>(r.flow_solves),
               static_cast<unsigned long long>(r.flow_solve_requests),
               per_solve(r.flow_solve_requests), per_solve(r.flow_rerated),
-              per_solve(r.flow_rates_changed));
+              per_solve(r.flow_rates_changed),
+              static_cast<unsigned long long>(r.flow_stale_fills +
+                                              r.flow_cascade_fills),
+              static_cast<unsigned long long>(r.flow_stale_fills),
+              static_cast<unsigned long long>(r.flow_cascade_fills));
 }
 
 int run_workload_mode(const Flags& flags,
@@ -507,6 +512,8 @@ int run_scenario_mode(Flags flags, const std::vector<const char*>& args) {
     flow.flow_solve_requests += c.result.flow_solve_requests;
     flow.flow_rerated += c.result.flow_rerated;
     flow.flow_rates_changed += c.result.flow_rates_changed;
+    flow.flow_stale_fills += c.result.flow_stale_fills;
+    flow.flow_cascade_fills += c.result.flow_cascade_fills;
     sram_peak += c.result.reduce_sram_peak;
     unfinished += c.result.unfinished;
     downs += c.result.fault_downs;

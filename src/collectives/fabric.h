@@ -27,6 +27,15 @@ struct Fabric {
     return fat_tree ? fat_tree->hosts : leaf_spine->hosts;
   }
 
+  /// hosts()[host] -> its ToR; the id + 1 is the ToR -> host direction.
+  [[nodiscard]] LinkId host_link(int host) const {
+    return fat_tree ? fat_tree->host_link(host) : leaf_spine->host_link(host);
+  }
+  /// endpoints()[gpu] -> its host (GPU endpoints); the id + 1 descends.
+  [[nodiscard]] LinkId gpu_link(int gpu) const {
+    return fat_tree ? fat_tree->gpu_link(gpu) : leaf_spine->gpu_link(gpu);
+  }
+
   static Fabric of(const FatTree& ft) { return Fabric{&ft, nullptr}; }
   static Fabric of(const LeafSpine& ls) { return Fabric{nullptr, &ls}; }
 };

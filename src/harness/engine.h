@@ -117,6 +117,8 @@ inline void harvest_flow_solver(const FlowEngine& engine, ScenarioResult& out) {
   out.flow_solve_requests = engine.net.solve_requests();
   out.flow_rerated = engine.net.flows_rerated();
   out.flow_rates_changed = engine.net.rates_changed();
+  out.flow_stale_fills = engine.net.stale_fills();
+  out.flow_cascade_fills = engine.net.cascade_fills();
 }
 
 /// Pod-sharded parallel engine (src/sim/sharded.h).

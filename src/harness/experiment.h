@@ -154,6 +154,11 @@ struct ScenarioResult {
   /// changed, summed over solves.
   std::uint64_t flow_rerated = 0;
   std::uint64_t flow_rates_changed = 0;
+  /// Solves that re-filled whole components rather than the changed
+  /// region: while stale links were pending, and re-runs after a rounding
+  /// cascade.
+  std::uint64_t flow_stale_fills = 0;
+  std::uint64_t flow_cascade_fills = 0;
   /// High-water mark of switch combining SRAM (in-network reduce streams
   /// only; 0 for every host-side scheme). Sharded runs report the sum of
   /// per-domain peaks — an upper bound on fabric-wide demand (domains need

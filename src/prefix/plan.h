@@ -14,8 +14,8 @@
 // are recorded so experiments can charge their bandwidth.
 #pragma once
 
+#include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "src/prefix/cover.h"
@@ -41,6 +41,18 @@ struct PeelPacketRule {
   std::vector<int> covered_host_idx;
 };
 
+/// Member endpoints grouped by destination host: hosts ascending, each
+/// host's endpoints in destination-list order.
+struct HostMembers {
+  std::vector<NodeId> hosts;
+  /// hosts.size() + 1 bounds into `endpoints`.
+  std::vector<std::uint32_t> offsets{0};
+  std::vector<NodeId> endpoints;
+
+  /// Endpoints on `host`; empty when the host holds no member.
+  [[nodiscard]] std::span<const NodeId> of(NodeId host) const;
+};
+
 struct PeelPlan {
   NodeId source = kInvalidNode;
   std::vector<NodeId> destinations;
@@ -51,7 +63,7 @@ struct PeelPlan {
   std::vector<NodeId> source_local;
 
   /// Member endpoints per destination host, for host-agent delivery.
-  std::unordered_map<NodeId, std::vector<NodeId>> host_members;
+  HostMembers host_members;
 
   int pod_id_bits = 0;   ///< m for the pod tier (core prefix rules)
   int tor_id_bits = 0;   ///< m for the ToR tier

@@ -18,7 +18,7 @@ struct Prefix {
   std::uint32_t value = 0;  ///< the fixed top bits, right-aligned (< 2^length)
   int length = 0;           ///< number of fixed bits, 0..m
 
-  friend bool operator==(const Prefix&, const Prefix&) = default;
+  friend auto operator<=>(const Prefix&, const Prefix&) = default;
 
   /// Lowest identifier in the block, given m identifier bits.
   [[nodiscard]] std::uint32_t block_start(int m) const {

@@ -38,6 +38,7 @@ FlowNetwork::FlowNetwork(const Topology& topo, const SimConfig& config,
   links_.resize(topo.link_count());
   slot_of_.assign(topo.link_count(), 0);
   node_stamp_.assign(topo.node_count(), 0);
+  node_parent_.assign(topo.node_count(), kInvalidLink);
   if (config_.telemetry.enabled) {
     telem_ = std::make_unique<Telemetry>(config_.telemetry, topo);
   }
@@ -89,8 +90,14 @@ StreamId FlowNetwork::open_stream(StreamSpec spec) {
   // oriented away from the source (toward it, semantically, for a reduce
   // stream); a reduce flow additionally occupies the reverse of every
   // forward link — the contributor up-paths that mirror the down-tree.
+  // Each child's in-link (the first the forward map lists), in node-indexed
+  // scratch stamped with a fresh epoch, so opening a stream never clears or
+  // allocates a fabric-sized table.
   const auto node_total = static_cast<std::size_t>(topo_->node_count());
-  std::vector<LinkId> parent_link(node_total, kInvalidLink);
+  const std::uint32_t epoch = ++node_epoch_;
+  std::size_t link_total = 0;
+  for (const auto& [node, outs] : spec.forward) link_total += outs.size();
+  f.fwd_links.reserve(link_total);
   for (const auto& [node, outs] : spec.forward) {
     if (node < 0 || static_cast<std::size_t>(node) >= node_total) {
       throw std::invalid_argument("stream spec names an unknown node");
@@ -100,15 +107,16 @@ StreamId FlowNetwork::open_stream(StreamSpec spec) {
         throw std::invalid_argument("stream spec names an unknown link");
       }
       f.fwd_links.push_back(l);
-      const NodeId child = topo_->link(l).dst;
-      if (parent_link[static_cast<std::size_t>(child)] != kInvalidLink &&
-          f.reduce) {
-        throw std::invalid_argument(
-            "reduce stream forward map is not a tree (node has two parents)");
+      const auto child = static_cast<std::size_t>(topo_->link(l).dst);
+      if (node_stamp_[child] == epoch) {
+        if (f.reduce) {
+          throw std::invalid_argument(
+              "reduce stream forward map is not a tree (node has two parents)");
+        }
+        continue;
       }
-      if (parent_link[static_cast<std::size_t>(child)] == kInvalidLink) {
-        parent_link[static_cast<std::size_t>(child)] = l;
-      }
+      node_stamp_[child] = epoch;
+      node_parent_[child] = l;
     }
   }
   std::sort(f.fwd_links.begin(), f.fwd_links.end());
@@ -139,16 +147,13 @@ StreamId FlowNetwork::open_stream(StreamSpec spec) {
     NodeId at = from;
     std::size_t guard = 0;
     while (at != spec.source) {
-      if (at < 0 || ++guard > node_total) {
+      const auto n = static_cast<std::size_t>(at);
+      if (at < 0 || n >= node_total || node_stamp_[n] != epoch ||
+          ++guard > node_total) {
         throw std::invalid_argument(
             "stream spec has no forward path between source and endpoint");
       }
-      const LinkId l = parent_link[static_cast<std::size_t>(at)];
-      if (l == kInvalidLink) {
-        throw std::invalid_argument(
-            "stream spec has no forward path between source and endpoint");
-      }
-      const Link& lk = topo_->link(l);
+      const Link& lk = topo_->link(node_parent_[n]);
       prop += lk.propagation;
       inv += 1.0 / lk.rate.bytes_per_ns();
       ++hops;
@@ -388,7 +393,11 @@ void FlowNetwork::solve() {
     return links_[static_cast<std::size_t>(l)].active.empty();
   });
   bool whole = !stale_links_.empty();
-  while (!fill_region(whole)) whole = true;
+  if (whole) ++stale_fills_;
+  while (!fill_region(whole)) {
+    whole = true;  // a whole-component fill never cascades
+    ++cascade_fills_;
+  }
   std::erase_if(stale_links_, [this](LinkId l) { return in_region(l); });
   dirty_.clear();
 

@@ -136,6 +136,13 @@ class FlowNetwork final : public DataPlane, public SimEventSink {
   [[nodiscard]] std::uint64_t rates_changed() const noexcept {
     return rates_changed_;
   }
+  /// Solves that re-filled whole components instead of a region: because
+  /// stale links were pending, or as the re-run after a rounding cascade
+  /// (diagnostic; the two are disjoint).
+  [[nodiscard]] std::uint64_t stale_fills() const noexcept { return stale_fills_; }
+  [[nodiscard]] std::uint64_t cascade_fills() const noexcept {
+    return cascade_fills_;
+  }
 
   /// Current summed allocated rate on a directed link, in bytes/ns — one
   /// point of the piecewise-constant utilization series. Runs a pending
@@ -378,8 +385,10 @@ class FlowNetwork final : public DataPlane, public SimEventSink {
   std::uint32_t push_seq_ = 0;
   bool whole_ = false;
 
-  /// Scratch for the live-set reachability walk (epoch-stamped nodes).
+  /// Epoch-stamped node scratch: the live-set reachability walk's visited
+  /// set, and open_stream's in-link per tree node (node_parent_).
   std::vector<std::uint32_t> node_stamp_;
+  std::vector<LinkId> node_parent_;
   std::uint32_t node_epoch_ = 0;
 
   Bytes total_bytes_ = 0;
@@ -389,6 +398,8 @@ class FlowNetwork final : public DataPlane, public SimEventSink {
   std::uint64_t solve_requests_ = 0;
   std::uint64_t flows_rerated_ = 0;
   std::uint64_t rates_changed_ = 0;
+  std::uint64_t stale_fills_ = 0;
+  std::uint64_t cascade_fills_ = 0;
 };
 
 }  // namespace peel

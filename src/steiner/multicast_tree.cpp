@@ -6,6 +6,14 @@
 
 namespace peel {
 
+void MulticastTree::reserve(std::size_t links) {
+  links_.reserve(links);
+  nodes_.reserve(links);
+  in_links_.reserve(links);
+  parents_.reserve(links);
+  children_.reserve(links);
+}
+
 void MulticastTree::add_link(const Topology& topo, LinkId l) {
   if (l == kInvalidLink) throw std::logic_error("MulticastTree: invalid link");
   const Link& lk = topo.link(l);
@@ -16,40 +24,44 @@ void MulticastTree::add_link(const Topology& topo, LinkId l) {
   if (!contains(lk.src)) {
     throw std::logic_error("MulticastTree: parent not in tree: " + topo.name(lk.src));
   }
-  if (in_link_.contains(lk.dst) || lk.dst == source_) {
+  const auto at = std::lower_bound(nodes_.begin(), nodes_.end(), lk.dst);
+  if ((at != nodes_.end() && *at == lk.dst) || lk.dst == source_) {
     throw std::logic_error("MulticastTree: node already attached: " + topo.name(lk.dst));
   }
+  in_links_.insert(in_links_.begin() + (at - nodes_.begin()), l);
+  nodes_.insert(at, lk.dst);
   links_.push_back(l);
-  children_[lk.src].push_back(l);
-  in_link_.emplace(lk.dst, l);
+  const auto group_end = std::upper_bound(parents_.begin(), parents_.end(), lk.src);
+  children_.insert(children_.begin() + (group_end - parents_.begin()), l);
+  parents_.insert(group_end, lk.src);
 }
 
 std::span<const LinkId> MulticastTree::out_links_of(NodeId n) const {
-  auto it = children_.find(n);
-  if (it == children_.end()) return {};
-  return it->second;
+  const auto [first, last] = std::equal_range(parents_.begin(), parents_.end(), n);
+  return std::span(children_).subspan(
+      static_cast<std::size_t>(first - parents_.begin()),
+      static_cast<std::size_t>(last - first));
 }
 
 LinkId MulticastTree::in_link_of(NodeId n) const {
-  auto it = in_link_.find(n);
-  return it == in_link_.end() ? kInvalidLink : it->second;
+  const auto it = std::lower_bound(nodes_.begin(), nodes_.end(), n);
+  return it == nodes_.end() || *it != n ? kInvalidLink
+                                        : in_links_[static_cast<std::size_t>(
+                                              it - nodes_.begin())];
 }
 
 std::size_t MulticastTree::switch_count(const Topology& topo) const {
-  std::unordered_set<NodeId> switches;
-  for (LinkId l : links_) {
-    const Link& lk = topo.link(l);
-    if (is_switch(topo.kind(lk.src))) switches.insert(lk.src);
-    if (is_switch(topo.kind(lk.dst))) switches.insert(lk.dst);
-  }
-  return switches.size();
+  if (links_.empty()) return 0;  // the source alone touches no link
+  const auto is_sw = [&topo](NodeId n) { return is_switch(topo.kind(n)); };
+  return static_cast<std::size_t>(std::count_if(nodes_.begin(), nodes_.end(), is_sw)) +
+         (is_sw(source_) ? 1 : 0);
 }
 
 std::vector<NodeId> MulticastTree::nodes() const {
   std::vector<NodeId> out;
+  out.reserve(nodes_.size() + 1);
   out.push_back(source_);
-  out.reserve(in_link_.size() + 1);
-  for (const auto& [node, link] : in_link_) out.push_back(node);
+  out.insert(out.end(), nodes_.begin(), nodes_.end());
   return out;
 }
 
@@ -65,7 +77,7 @@ MulticastTree::Validation MulticastTree::validate(const Topology& topo) const {
   for (LinkId l : links_) {
     if (topo.link(l).failed) return fail("tree uses failed link");
   }
-  // in_link_ construction already guarantees unique in-links; check
+  // add_link already guarantees unique in-links; check
   // reachability (and thereby acyclicity: |links| == reachable - 1).
   std::unordered_set<NodeId> reached{source_};
   std::deque<NodeId> queue{source_};

@@ -3,12 +3,15 @@
 //
 // Links are stored oriented in the direction data flows (away from the
 // source).  Every non-source tree node has exactly one in-link; switches
-// replicate a packet onto all of their out-links.
+// replicate a packet onto all of their out-links.  Storage is flat and
+// tree-sized: the nodes and the out-link groups are kept as sorted arrays,
+// so a lookup is a binary search and a tree costs a few allocations, not
+// one per node.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/topology/topology.h"
@@ -20,6 +23,9 @@ class MulticastTree {
   MulticastTree() = default;
   MulticastTree(NodeId source, std::vector<NodeId> destinations)
       : source_(source), destinations_(std::move(destinations)) {}
+
+  /// Pre-sizes the storage for a tree of about `links` links.
+  void reserve(std::size_t links);
 
   /// Adds a directed tree link (data direction). The link's src must already
   /// be in the tree (or be the source); its dst must not have an in-link yet.
@@ -34,7 +40,7 @@ class MulticastTree {
   [[nodiscard]] std::size_t link_count() const noexcept { return links_.size(); }
 
   [[nodiscard]] bool contains(NodeId n) const {
-    return n == source_ || in_link_.contains(n);
+    return n == source_ || std::binary_search(nodes_.begin(), nodes_.end(), n);
   }
 
   /// Out-links (children) of a tree node; empty for leaves.
@@ -48,7 +54,7 @@ class MulticastTree {
   /// Lemma 2.3 bounds).
   [[nodiscard]] std::size_t switch_count(const Topology& topo) const;
 
-  /// All nodes in the tree (source, switches, destinations).
+  /// All nodes in the tree: the source, then the others in ascending id.
   [[nodiscard]] std::vector<NodeId> nodes() const;
 
   struct Validation {
@@ -64,9 +70,14 @@ class MulticastTree {
  private:
   NodeId source_ = kInvalidNode;
   std::vector<NodeId> destinations_;
-  std::vector<LinkId> links_;
-  std::unordered_map<NodeId, std::vector<LinkId>> children_;
-  std::unordered_map<NodeId, LinkId> in_link_;
+  std::vector<LinkId> links_;  ///< attach order: parents before children
+  /// Non-source tree nodes ascending, with their in-links alongside.
+  std::vector<NodeId> nodes_;
+  std::vector<LinkId> in_links_;
+  /// Out-links grouped by parent (parents ascending, siblings in attach
+  /// order), with each link's parent alongside.
+  std::vector<NodeId> parents_;
+  std::vector<LinkId> children_;
 };
 
 }  // namespace peel

@@ -53,6 +53,29 @@ struct FatTree {
     return cores[static_cast<std::size_t>(group * (config.k / 2) + j)];
   }
 
+  // Link ids in build_fat_tree's wiring order. Each names the upward
+  // direction; the downward one is the id + 1.
+  /// agg(pod, a) -> core(a, j).
+  [[nodiscard]] LinkId agg_core_link(int pod, int a, int j) const {
+    const int half = config.k / 2;
+    return 2 * ((pod * half + a) * half + j);
+  }
+  /// tor(pod, t) -> agg(pod, a).
+  [[nodiscard]] LinkId tor_agg_link(int pod, int t, int a) const {
+    const int half = config.k / 2;
+    return 2 * (config.k * half * half + (pod * half + t) * half + a);
+  }
+  /// hosts[host] -> its ToR.
+  [[nodiscard]] LinkId host_link(int host) const {
+    const int half = config.k / 2;
+    return 2 * (2 * config.k * half * half + host * (1 + config.gpus_per_host));
+  }
+  /// gpus[gpu] -> its host.
+  [[nodiscard]] LinkId gpu_link(int gpu) const {
+    const int g = config.gpus_per_host;
+    return host_link(gpu / g) + 2 * (1 + gpu % g);
+  }
+
   /// Endpoints of collectives: GPUs if gpus_per_host > 0, else hosts.
   [[nodiscard]] const std::vector<NodeId>& endpoints() const noexcept {
     return config.gpus_per_host > 0 ? gpus : hosts;

@@ -35,6 +35,22 @@ struct LeafSpine {
   [[nodiscard]] const std::vector<NodeId>& endpoints() const noexcept {
     return config.gpus_per_host > 0 ? gpus : hosts;
   }
+
+  // Link ids in build_leaf_spine's wiring order. Each names the upward
+  // direction; the downward one is the id + 1.
+  /// leaves[leaf] -> spines[spine].
+  [[nodiscard]] LinkId leaf_spine_link(int leaf, int spine) const {
+    return 2 * (leaf * config.spines + spine);
+  }
+  /// hosts[host] -> its leaf.
+  [[nodiscard]] LinkId host_link(int host) const {
+    return 2 * (config.leaves * config.spines + host * (1 + config.gpus_per_host));
+  }
+  /// gpus[gpu] -> its host.
+  [[nodiscard]] LinkId gpu_link(int gpu) const {
+    const int g = config.gpus_per_host;
+    return host_link(gpu / g) + 2 * (1 + gpu % g);
+  }
 };
 
 [[nodiscard]] LeafSpine build_leaf_spine(const LeafSpineConfig& config);

@@ -395,6 +395,32 @@ TEST(FlowSolver, FlappingCellsReproducePinnedCcts) {
                                        291467}));
 }
 
+// Solves that fall back to whole-component fills are counted, split by
+// cause: flapping links leave stale links behind; a fault-free workload
+// whose streams drain before they close leaves none.
+TEST(FlowSolver, WholeComponentFillsAreCountedByCause) {
+  const LeafSpine ls = build_leaf_spine(LeafSpineConfig{4, 8, 2, 2});
+  const ScenarioResult flap = run_scenario(Fabric::of(ls), flapping_cell(Scheme::Peel));
+  EXPECT_GT(flap.flow_stale_fills, 0u);
+  EXPECT_LE(flap.flow_stale_fills + flap.flow_cascade_fills, flap.flow_solves);
+
+  FatTreeConfig k8;
+  k8.k = 8;
+  k8.hosts_per_tor = 1;
+  k8.gpus_per_host = 1;
+  const FatTree ft = build_fat_tree(k8);
+  WorkloadConfig wc;
+  wc.scheme = Scheme::Peel;
+  wc.fidelity = Fidelity::Flow;
+  wc.arrivals.jobs = 20;
+  wc.arrivals.rate_per_second = 100000.0;
+  wc.churn.events_per_job = 1;
+  const WorkloadResult clean = run_workload(Fabric::of(ft), wc);
+  EXPECT_GT(clean.sim.flow_solves, 0u);
+  EXPECT_EQ(clean.sim.flow_stale_fills, 0u);
+  EXPECT_LE(clean.sim.flow_cascade_fills, clean.sim.flow_solves);
+}
+
 // --- 4. bitwise soak ----------------------------------------------------------
 
 /// Leaf-spine fabric with mixed line rates: two- and three-way shares of the

@@ -24,9 +24,7 @@ std::multiset<NodeId> covered_endpoints(const Topology& topo, const PeelPlan& pl
         const std::size_t hi = static_cast<std::size_t>(rack_pos * per_rack + idx);
         if (hi >= ft->hosts.size()) continue;
         const NodeId host = ft->hosts[hi];
-        const auto it = plan.host_members.find(host);
-        if (it == plan.host_members.end()) continue;
-        for (NodeId e : it->second) covered.insert(e);
+        for (NodeId e : plan.host_members.of(host)) covered.insert(e);
       }
     }
   }

@@ -237,5 +237,58 @@ TEST(Failures, FabricCandidatesExcludeHostLinks) {
   }
 }
 
+// The *_link helpers name every link by the builders' wiring order.
+TEST(FatTree, LinkIdsFollowWiringOrder) {
+  for (const FatTreeConfig& config :
+       {FatTreeConfig{4, -1, 0}, FatTreeConfig{4, 2, 3}, FatTreeConfig{8, 3, 1}}) {
+    const FatTree ft = build_fat_tree(config);
+    const Topology& t = ft.topo;
+    const int half = config.k / 2;
+    for (int p = 0; p < config.k; ++p) {
+      for (int a = 0; a < half; ++a) {
+        for (int j = 0; j < half; ++j) {
+          EXPECT_EQ(ft.agg_core_link(p, a, j), t.find_link(ft.agg_at(p, a), ft.core_at(a, j)));
+          EXPECT_EQ(ft.agg_core_link(p, a, j) + 1,
+                    t.find_link(ft.core_at(a, j), ft.agg_at(p, a)));
+        }
+        for (int tor = 0; tor < half; ++tor) {
+          EXPECT_EQ(ft.tor_agg_link(p, tor, a), t.find_link(ft.tor_at(p, tor), ft.agg_at(p, a)));
+        }
+      }
+    }
+    for (std::size_t h = 0; h < ft.hosts.size(); ++h) {
+      EXPECT_EQ(ft.host_link(static_cast<int>(h)),
+                t.find_link(ft.hosts[h], t.tor_of(ft.hosts[h])));
+    }
+    for (std::size_t g = 0; g < ft.gpus.size(); ++g) {
+      EXPECT_EQ(ft.gpu_link(static_cast<int>(g)) + 1,
+                t.find_link(t.host_of(ft.gpus[g]), ft.gpus[g]));
+    }
+  }
+}
+
+TEST(LeafSpine, LinkIdsFollowWiringOrder) {
+  for (const LeafSpineConfig& config :
+       {LeafSpineConfig{4, 6, 2, 0}, LeafSpineConfig{3, 5, 3, 2}}) {
+    const LeafSpine ls = build_leaf_spine(config);
+    const Topology& t = ls.topo;
+    for (int l = 0; l < config.leaves; ++l) {
+      for (int s = 0; s < config.spines; ++s) {
+        EXPECT_EQ(ls.leaf_spine_link(l, s),
+                  t.find_link(ls.leaves[static_cast<std::size_t>(l)],
+                              ls.spines[static_cast<std::size_t>(s)]));
+      }
+    }
+    for (std::size_t h = 0; h < ls.hosts.size(); ++h) {
+      EXPECT_EQ(ls.host_link(static_cast<int>(h)) + 1,
+                t.find_link(t.tor_of(ls.hosts[h]), ls.hosts[h]));
+    }
+    for (std::size_t g = 0; g < ls.gpus.size(); ++g) {
+      EXPECT_EQ(ls.gpu_link(static_cast<int>(g)),
+                t.find_link(ls.gpus[g], t.host_of(ls.gpus[g])));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace peel
