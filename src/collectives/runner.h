@@ -110,6 +110,7 @@ struct StuckFlowInfo {
   SimTime submit_time = 0;
   std::size_t delivered = 0;  ///< (receiver, chunk) pairs completed
   std::size_t expected = 0;
+  std::size_t ledger_flags = 0;  ///< delivery-ledger flags the collective holds
   std::vector<StreamDiagnostic> streams;
 };
 

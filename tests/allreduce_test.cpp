@@ -109,6 +109,31 @@ TEST_F(AllReduceFixture, ScenarioDriverRuns) {
   EXPECT_EQ(r.cct_seconds.count(), 4u);
 }
 
+// A reduce chunk id names its child rank, so it has one receiver: the tree
+// schemes' delivery ledger grows with members x pieces, not members^2.
+TEST(AllReduceLedger, TreeSchemesStayLinearInGroupSize) {
+  const FatTree big = build_fat_tree(FatTreeConfig{16, -1, 0});  // 1,024 hosts
+  const std::size_t n = big.hosts.size();
+  const std::size_t pieces = RunnerOptions{}.chunks;
+  for (Scheme scheme : {Scheme::BinaryTree, Scheme::Optimal, Scheme::Peel}) {
+    EventQueue queue;
+    SimConfig sim;
+    Network net(big.topo, sim, queue);
+    CollectiveRunner runner(Fabric::of(big), net, queue, Rng(5), RunnerOptions{});
+    AllReduceRequest req;
+    req.id = 1;
+    req.members = big.hosts;
+    req.buffer_bytes = 16 * kMiB;
+    runner.submit_allreduce(scheme, std::move(req));
+    const std::vector<StuckFlowInfo> flows = runner.stuck_flows();
+    ASSERT_EQ(flows.size(), 1u) << to_string(scheme);
+    EXPECT_EQ(flows[0].expected, 2 * (n - 1) * pieces) << to_string(scheme);
+    // One flag per reduce id (pieces x ranks), one per (rank, piece) for
+    // the broadcast.
+    EXPECT_EQ(flows[0].ledger_flags, 2 * n * pieces) << to_string(scheme);
+  }
+}
+
 TEST_F(AllReduceFixture, Deterministic) {
   const Outcome a = run_one(Scheme::Ring, 16, 8 * kMiB);
   const Outcome b = run_one(Scheme::Ring, 16, 8 * kMiB);
