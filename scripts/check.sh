@@ -21,9 +21,13 @@
 # (scripts/perf_diff.sh), an audited flow-fidelity smoke (scenario_cli
 # --fidelity=flow, with a packet-vs-flow byte-totals cross-check), an
 # audited flow-fidelity PEEL workload with churn, an audited in-network
-# AllReduce smoke through scenario_cli, and shard-invariance smokes (PEEL,
-# Ring and in-network AllReduce at 1 vs 4 sharded workers, diffed). It
-# gates on determinism (perf_suite --check and the diffs), not on speed.
+# AllReduce smoke through scenario_cli, shard-invariance smokes (PEEL,
+# Ring and in-network AllReduce at 1 vs 4 sharded workers, diffed), a
+# multi-tenant workload smoke, and the traced peelbench run of every
+# benchmark workload (each must report "correct": true; peelbench builds
+# under $CARGO_TARGET_DIR/peelbench, default .bench_build/). It gates on
+# determinism (perf_suite --check, the diffs and the traced runs), not on
+# speed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -90,6 +94,12 @@ if [[ "${PEEL_CHECK_PERF:-0}" != "0" ]]; then
   echo "== multi-tenant workload smoke (scenario_cli --workload, audited) =="
   ./build-perf/examples/scenario_cli --workload optimal broadcast 16 1 30 40 \
       --churn=1 --capacity=8 --audit --watchdog
+  echo "== traced benchmark smoke (peelbench, all workloads, --trace 1) =="
+  for workload in fig5-packet flow-tenancy fig7-flap; do
+    python3 peelbench/run.py --workload "${workload}" --seed 1 --seconds 1 \
+        --trace 1 | tee /tmp/peelbench.txt
+    tail -n 1 /tmp/peelbench.txt | grep -q '"correct": true'
+  done
 fi
 
 echo "== all checks passed =="

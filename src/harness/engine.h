@@ -1,16 +1,11 @@
-// Shared engine adapters for the harness drivers (run_scenario, run_single,
-// run_workload). Internal to src/harness — not part of the public API.
-//
-// Both engines expose one uniform surface the drivers are templated over:
-// the control-plane queue (submissions, fault timers, recovery closures),
-// the DataPlane the runner/injector talk to, the run loop, clocks/counters,
-// and telemetry access.
+// The simulation engine the harness drivers (run_scenario,
+// run_single_broadcast, run_workload) run on, and the harvest they share.
+// Internal to src/harness — not part of the public API.
 #pragma once
 
-#include <cstdint>
-#include <memory>
+#include <cstddef>
+#include <optional>
 #include <string>
-#include <vector>
 
 #include "src/collectives/runner.h"
 #include "src/harness/experiment.h"
@@ -21,177 +16,63 @@
 
 namespace peel::detail {
 
-/// Classic single-queue engine: one EventQueue, one Network.
-struct SoloEngine {
-  EventQueue queue;
-  Network net;
+/// One simulation engine, chosen here and nowhere else:
+///   Fidelity::Flow — one EventQueue driving a FlowNetwork. Flow wins over
+///                    `shards`: the flow engine is single-queue by design (its
+///                    event count is small enough that sharding would only
+///                    add barriers);
+///   shards > 0     — a ShardedNetwork with that many workers, which owns the
+///                    control queue;
+///   otherwise      — one EventQueue driving a packet Network.
+/// The drivers see only the control queue, the DataPlane and the run loop, so
+/// they cannot tell the engines apart.
+class Engine {
+ public:
+  /// Throws std::invalid_argument if `shards` is negative. `byte_audit`
+  /// forces telemetry on: the audit reads its accounting.
+  Engine(const Topology& topo, SimConfig sim, Fidelity fidelity, int shards,
+         bool byte_audit);
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
 
-  SoloEngine(const Topology& topo, const SimConfig& sim)
-      : net(topo, sim, queue) {}
-
-  [[nodiscard]] EventQueue& control() noexcept { return queue; }
-  [[nodiscard]] DataPlane& data() noexcept { return net; }
-  void run() { queue.run(); }
-  void run_until(SimTime t) { queue.run_until(t); }
-  [[nodiscard]] bool empty() const { return queue.empty(); }
-  [[nodiscard]] SimTime now() const { return queue.now(); }
-  [[nodiscard]] std::uint64_t events() const { return queue.processed(); }
-  [[nodiscard]] std::uint64_t events_chained() const {
-    return queue.chained();
-  }
-  [[nodiscard]] std::uint64_t segments_serialized() const {
-    return net.segments_serialized();
-  }
-  [[nodiscard]] std::uint64_t segments_lost() const {
-    return net.segments_lost();
-  }
-  [[nodiscard]] std::uint64_t pfc_pauses() const { return net.pfc_pauses(); }
-  [[nodiscard]] std::uint64_t segments_marked() const {
-    return net.segments_marked();
-  }
-  [[nodiscard]] Bytes reduce_sram_peak() const {
-    return net.reduce_sram_peak();
-  }
-  /// Solo has one fabric-wide gauge; sum and max-domain coincide.
-  [[nodiscard]] Bytes reduce_sram_peak_max_domain() const {
-    return net.reduce_sram_peak();
-  }
-  void reserve_series(std::size_t expected) {
-    if (Telemetry* telem = net.telemetry()) telem->reserve_series(expected);
-  }
+  /// Queue for control-plane work: submissions, fault timers, recovery.
+  [[nodiscard]] EventQueue& control() noexcept { return *control_; }
+  [[nodiscard]] DataPlane& data() noexcept { return *data_; }
+  void run();
+  void run_until(SimTime t);
+  [[nodiscard]] bool empty() const;
+  [[nodiscard]] SimTime now() const;
+  /// Pre-sizes the telemetry queue-depth series; no-op without telemetry.
+  void reserve_series(std::size_t expected);
   /// Telemetry for audit/summary once the run has quiesced; null = disabled.
-  [[nodiscard]] const Telemetry* finished_telemetry() const {
-    return net.telemetry();
-  }
+  [[nodiscard]] const Telemetry* finished_telemetry() const;
+  /// Every engine counter; the flow-solver ones stay 0 on the packet engines.
+  [[nodiscard]] EngineStats stats() const;
+
+ private:
+  EventQueue queue_;  ///< the single-queue engines' queue (unused if sharded)
+  std::optional<Network> packet_;
+  std::optional<FlowNetwork> flow_;
+  std::optional<ShardedNetwork> sharded_;
+  EventQueue* control_ = &queue_;
+  DataPlane* data_ = nullptr;
 };
 
-/// Flow-level (fluid) engine: one EventQueue, one FlowNetwork
-/// (src/sim/flow_network.h). Same shape as SoloEngine — the drivers cannot
-/// tell the fidelities apart.
-struct FlowEngine {
-  EventQueue queue;
-  FlowNetwork net;
+/// Throws std::runtime_error listing the byte audit's violations, if any:
+/// the full conservation check when the run drained `clean` (everything
+/// finished), else the over-delivery check only (a byte credited twice is a
+/// bug at any point). `context` names the run in the message.
+void audit_or_throw(const Telemetry& telem, bool clean,
+                    const std::string& context);
 
-  FlowEngine(const Topology& topo, const SimConfig& sim)
-      : net(topo, sim, queue) {}
-
-  [[nodiscard]] EventQueue& control() noexcept { return queue; }
-  [[nodiscard]] DataPlane& data() noexcept { return net; }
-  void run() { queue.run(); }
-  void run_until(SimTime t) { queue.run_until(t); }
-  [[nodiscard]] bool empty() const { return queue.empty(); }
-  [[nodiscard]] SimTime now() const { return queue.now(); }
-  [[nodiscard]] std::uint64_t events() const { return queue.processed(); }
-  [[nodiscard]] std::uint64_t events_chained() const {
-    return queue.chained();
-  }
-  [[nodiscard]] std::uint64_t segments_serialized() const {
-    return net.segments_serialized();
-  }
-  [[nodiscard]] std::uint64_t segments_lost() const {
-    return net.segments_lost();
-  }
-  [[nodiscard]] std::uint64_t pfc_pauses() const { return net.pfc_pauses(); }
-  [[nodiscard]] std::uint64_t segments_marked() const {
-    return net.segments_marked();
-  }
-  [[nodiscard]] Bytes reduce_sram_peak() const {
-    return net.reduce_sram_peak();
-  }
-  [[nodiscard]] Bytes reduce_sram_peak_max_domain() const {
-    return net.reduce_sram_peak();
-  }
-  void reserve_series(std::size_t expected) {
-    if (Telemetry* telem = net.telemetry()) telem->reserve_series(expected);
-  }
-  [[nodiscard]] const Telemetry* finished_telemetry() const {
-    return net.telemetry();
-  }
-};
-
-/// Flow-solver counters: zero on the packet engines.
-template <typename Engine>
-void harvest_flow_solver(const Engine& /*engine*/, ScenarioResult& /*out*/) {}
-inline void harvest_flow_solver(const FlowEngine& engine, ScenarioResult& out) {
-  out.flow_solves = engine.net.rate_recomputes();
-  out.flow_solve_requests = engine.net.solve_requests();
-  out.flow_rerated = engine.net.flows_rerated();
-  out.flow_rates_changed = engine.net.rates_changed();
-  out.flow_stale_fills = engine.net.stale_fills();
-  out.flow_cascade_fills = engine.net.cascade_fills();
-}
-
-/// Pod-sharded parallel engine (src/sim/sharded.h).
-struct ShardedEngine {
-  ShardedNetwork net;
-
-  ShardedEngine(const Topology& topo, const SimConfig& sim, int threads)
-      : net(topo, sim, threads) {}
-
-  [[nodiscard]] EventQueue& control() noexcept { return net.control(); }
-  [[nodiscard]] DataPlane& data() noexcept { return net; }
-  void run() { net.run(); }
-  void run_until(SimTime t) { net.run_until(t); }
-  [[nodiscard]] bool empty() const { return net.empty(); }
-  [[nodiscard]] SimTime now() const { return net.now(); }
-  [[nodiscard]] std::uint64_t events() const { return net.events_processed(); }
-  [[nodiscard]] std::uint64_t events_chained() const {
-    return net.events_chained();
-  }
-  [[nodiscard]] std::uint64_t segments_serialized() const {
-    return net.segments_serialized();
-  }
-  [[nodiscard]] std::uint64_t segments_lost() const {
-    return net.segments_lost();
-  }
-  [[nodiscard]] std::uint64_t pfc_pauses() const { return net.pfc_pauses(); }
-  [[nodiscard]] std::uint64_t segments_marked() const {
-    return net.segments_marked();
-  }
-  [[nodiscard]] Bytes reduce_sram_peak() const {
-    return net.reduce_sram_peak();
-  }
-  [[nodiscard]] Bytes reduce_sram_peak_max_domain() const {
-    return net.reduce_sram_peak_max_domain();
-  }
-  void reserve_series(std::size_t expected) {
-    if (net.telemetry_enabled()) net.reserve_series(expected);
-  }
-  [[nodiscard]] const Telemetry* finished_telemetry() const {
-    return net.merged_telemetry();
-  }
-};
-
-/// Joins audit violation lines into one exception message.
-inline std::string audit_message(const char* context,
-                                 const std::vector<std::string>& violations) {
-  std::string msg = "byte-conservation audit failed (";
-  msg += context;
-  msg += "):";
-  for (const std::string& v : violations) {
-    msg += "\n  ";
-    msg += v;
-  }
-  return msg;
-}
-
-/// Builds the summary for result consumers, attaching flow lifetimes from
-/// collective records (the Network cannot know them).
-inline std::shared_ptr<const TelemetrySummary> make_summary(
-    const Telemetry& telem, const CollectiveRunner& runner, SimTime now) {
-  auto summary = std::make_shared<TelemetrySummary>(telem.summary(now));
-  summary->flows.reserve(runner.records().size());
-  for (const CollectiveRecord& record : runner.records()) {
-    FlowSpan f;
-    f.id = record.id;
-    f.name =
-        std::string(to_string(record.scheme)) + " #" + std::to_string(record.id);
-    f.begin = record.submit_time;
-    f.end = record.finished ? record.finish_time : now;
-    f.finished = record.finished;
-    summary->flows.push_back(std::move(f));
-  }
-  return summary;
-}
+/// What run_scenario and run_workload share once their control plane is
+/// scheduled: runs `engine` to drain (or to `deadline_seconds` if > 0),
+/// enforces the stuck-flow watchdog, fills `out`'s CCT samples and
+/// `unfinished`, runs the byte audit, and fills the telemetry summary, byte
+/// totals, simulated time, engine counters and plan-cache counters.
+void run_and_harvest(Engine& engine, const CollectiveRunner& runner,
+                     const Topology& topo, double deadline_seconds,
+                     bool watchdog, bool byte_audit, const std::string& context,
+                     ScenarioResult& out);
 
 }  // namespace peel::detail

@@ -9,18 +9,11 @@
 
 #include "src/faults/injector.h"
 #include "src/harness/engine.h"
-#include "src/sim/sharded.h"
 #include "src/topology/failures.h"
 
 namespace peel {
 
 namespace {
-
-using detail::audit_message;
-using detail::FlowEngine;
-using detail::make_summary;
-using detail::ShardedEngine;
-using detail::SoloEngine;
 
 /// Owning deep copy of a fabric, for scenarios that mutate the topology
 /// mid-run (dynamic faults). The caller's fabric is often shared by
@@ -44,14 +37,11 @@ struct FabricStore {
   }
 };
 
-// The engine adapters (SoloEngine / ShardedEngine) and the audit/summary
-// helpers moved to src/harness/engine.h so run_workload
-// (src/harness/workload.cpp) drives the same surfaces.
-
-template <typename Engine>
-ScenarioResult run_scenario_with(Engine& engine, const Fabric& fabric,
+ScenarioResult run_scenario_impl(const Fabric& fabric,
                                  const ScenarioConfig& config,
-                                 const SimConfig& sim, Topology* faulty_topo) {
+                                 Topology* faulty_topo) {
+  detail::Engine engine(fabric.topo(), config.sim, config.fidelity,
+                        config.shards, config.byte_audit);
   EventQueue& queue = engine.control();
   Rng rng(config.seed);
   CollectiveRunner runner(fabric, engine.data(), queue, rng.fork(0xc0'11ec),
@@ -95,16 +85,17 @@ ScenarioResult run_scenario_with(Engine& engine, const Fabric& fabric,
       fabric, config.offered_load, config.message_bytes, config.group_size);
   const double mean_gap_ns = 1e9 / lambda;
 
-  if (sim.telemetry.enabled && sim.telemetry.sample_interval > 0) {
-    // Pre-size the queue-depth series: a deadline bounds the sample count
-    // exactly; a run-to-drain is sized from the arrival span (collectives x
-    // mean gap) with 2x headroom for the drain tail.
+  if (const SimTime interval = config.sim.telemetry.sample_interval;
+      interval > 0) {
+    // Pre-size the queue-depth series (a no-op without telemetry): a
+    // deadline bounds the sample count exactly; a run-to-drain is sized from
+    // the arrival span (collectives x mean gap) with 2x headroom for the
+    // drain tail.
     const double horizon_ns =
         config.deadline_seconds > 0.0
             ? config.deadline_seconds * 1e9
             : mean_gap_ns * static_cast<double>(config.collectives) * 2.0;
-    const double expected =
-        horizon_ns / static_cast<double>(sim.telemetry.sample_interval);
+    const double expected = horizon_ns / static_cast<double>(interval);
     engine.reserve_series(
         static_cast<std::size_t>(std::min(expected, 1e6)) + 16);
   }
@@ -165,64 +156,10 @@ ScenarioResult run_scenario_with(Engine& engine, const Fabric& fabric,
     }
   }
 
-  if (config.deadline_seconds > 0.0) {
-    engine.run_until(seconds_to_sim(config.deadline_seconds));
-  } else {
-    engine.run();
-  }
-
-  if (config.watchdog) {
-    enforce_all_finished(runner, engine.empty()
-                                     ? "event queue drained"
-                                     : "deadline " +
-                                           std::to_string(
-                                               config.deadline_seconds) +
-                                           " s exceeded");
-  }
-
   ScenarioResult result;
-  result.cct_seconds.reserve(runner.records().size());
-  for (const auto& record : runner.records()) {
-    if (!record.finished) {
-      ++result.unfinished;
-      continue;
-    }
-    result.cct_seconds.add(record.cct_seconds());
-  }
-
-  if (const Telemetry* telem = engine.finished_telemetry()) {
-    if (config.byte_audit) {
-      // The full conservation check only holds once everything drained and
-      // finished; a deadline-truncated or unfinished run still must never
-      // over-deliver (a byte credited twice is a bug at any point).
-      const bool clean = result.unfinished == 0 && engine.empty();
-      const std::vector<std::string> violations =
-          clean ? telem->conservation_violations()
-                : telem->over_delivery_violations();
-      if (!violations.empty()) {
-        throw std::runtime_error(audit_message(
-            clean ? "at drain" : "partial run, over-delivery check only",
-            violations));
-      }
-    }
-    result.telemetry = make_summary(*telem, runner, engine.now());
-  }
-
-  result.fabric_bytes =
-      bytes_on_links(engine.data(), fabric.topo(), true, true, false);
-  result.core_bytes =
-      bytes_on_links(engine.data(), fabric.topo(), true, false, false);
-  result.sim_seconds = sim_to_seconds(engine.now());
-  result.events = engine.events();
-  result.events_chained = engine.events_chained();
-  result.segments = engine.segments_serialized();
-  result.segments_lost = engine.segments_lost();
-  result.pfc_pauses = engine.pfc_pauses();
-  result.ecn_marks = engine.segments_marked();
-  harvest_flow_solver(engine, result);
-  result.reduce_sram_peak = engine.reduce_sram_peak();
-  result.reduce_sram_peak_max_domain = engine.reduce_sram_peak_max_domain();
-  result.plan_cache = runner.plan_cache().stats();
+  detail::run_and_harvest(engine, runner, fabric.topo(),
+                          config.deadline_seconds, config.watchdog,
+                          config.byte_audit, "run", result);
   const DeltaApplyStats& deltas = runner.delta_stats();
   result.delta_applies = deltas.deltas;
   result.delta_apply_total_us = deltas.total_us;
@@ -234,62 +171,6 @@ ScenarioResult run_scenario_with(Engine& engine, const Fabric& fabric,
     result.fault_ups = injector->pairs_restored();
     result.recovered_deliveries = recovered;
   }
-  return result;
-}
-
-ScenarioResult run_scenario_impl(const Fabric& fabric,
-                                 const ScenarioConfig& config,
-                                 Topology* faulty_topo) {
-  SimConfig sim = config.sim;
-  if (config.byte_audit) sim.telemetry.enabled = true;  // audit needs accounting
-
-  // Fidelity wins over shards: the flow engine is single-queue by design
-  // (its event count is small enough that sharding would only add barriers).
-  if (config.fidelity == Fidelity::Flow) {
-    FlowEngine engine(fabric.topo(), sim);
-    return run_scenario_with(engine, fabric, config, sim, faulty_topo);
-  }
-  if (config.shards > 0) {
-    ShardedEngine engine(fabric.topo(), sim, config.shards);
-    return run_scenario_with(engine, fabric, config, sim, faulty_topo);
-  }
-  SoloEngine engine(fabric.topo(), sim);
-  return run_scenario_with(engine, fabric, config, sim, faulty_topo);
-}
-
-template <typename Engine>
-SingleResult run_single_with(Engine& engine, const Fabric& fabric,
-                             const SingleRunOptions& options) {
-  CollectiveRunner runner(fabric, engine.data(), engine.control(),
-                          Rng(options.sim.seed), options.runner);
-
-  BroadcastRequest req;
-  req.id = 1;
-  req.source = options.group.source;
-  req.destinations = options.group.destinations;
-  req.message_bytes = options.message_bytes;
-  runner.submit(options.scheme, std::move(req));
-  engine.run();
-
-  if (runner.records().empty() || !runner.records().front().finished) {
-    throw std::runtime_error("single broadcast did not complete");
-  }
-  if (const Telemetry* telem = engine.finished_telemetry();
-      telem && options.byte_audit) {
-    const std::vector<std::string> violations = telem->conservation_violations();
-    if (!violations.empty()) {
-      throw std::runtime_error(
-          audit_message("single broadcast", violations));
-    }
-  }
-  SingleResult result;
-  result.cct_seconds = runner.records().front().cct_seconds();
-  result.fabric_bytes =
-      bytes_on_links(engine.data(), fabric.topo(), true, true, false);
-  result.core_bytes =
-      bytes_on_links(engine.data(), fabric.topo(), true, false, false);
-  result.nvlink_bytes =
-      bytes_on_links(engine.data(), fabric.topo(), false, false, true);
   return result;
 }
 
@@ -347,19 +228,35 @@ ScenarioResult run_scenario(const Fabric& fabric, const ScenarioConfig& config) 
 
 SingleResult run_single_broadcast(const Fabric& fabric,
                                   const SingleRunOptions& options) {
-  SimConfig sim = options.sim;
-  if (options.byte_audit) sim.telemetry.enabled = true;
+  detail::Engine engine(fabric.topo(), options.sim, options.fidelity,
+                        options.shards, options.byte_audit);
+  CollectiveRunner runner(fabric, engine.data(), engine.control(),
+                          Rng(options.sim.seed), options.runner);
 
-  if (options.fidelity == Fidelity::Flow) {
-    FlowEngine engine(fabric.topo(), sim);
-    return run_single_with(engine, fabric, options);
+  BroadcastRequest req;
+  req.id = 1;
+  req.source = options.group.source;
+  req.destinations = options.group.destinations;
+  req.message_bytes = options.message_bytes;
+  runner.submit(options.scheme, std::move(req));
+  engine.run();
+
+  if (runner.records().empty() || !runner.records().front().finished) {
+    throw std::runtime_error("single broadcast did not complete");
   }
-  if (options.shards > 0) {
-    ShardedEngine engine(fabric.topo(), sim, options.shards);
-    return run_single_with(engine, fabric, options);
+  if (const Telemetry* telem = engine.finished_telemetry();
+      telem && options.byte_audit) {
+    detail::audit_or_throw(*telem, true, "single broadcast");
   }
-  SoloEngine engine(fabric.topo(), sim);
-  return run_single_with(engine, fabric, options);
+  SingleResult result;
+  result.cct_seconds = runner.records().front().cct_seconds();
+  result.fabric_bytes =
+      bytes_on_links(engine.data(), fabric.topo(), true, true, false);
+  result.core_bytes =
+      bytes_on_links(engine.data(), fabric.topo(), true, false, false);
+  result.nvlink_bytes =
+      bytes_on_links(engine.data(), fabric.topo(), false, false, true);
+  return result;
 }
 
 }  // namespace peel

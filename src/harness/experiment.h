@@ -104,9 +104,10 @@ struct ScenarioConfig {
   std::uint64_t seed = 1;
   /// Pod-sharded parallel engine (src/sim/sharded.h): > 0 selects the
   /// sharded engine with that many worker threads (clamped to the pod-domain
-  /// count of the fabric); 0 = the classic single-queue engine. The domain
-  /// decomposition is fixed by the topology, so any two positive values
-  /// produce byte-identical results — the knob trades wall-clock only.
+  /// count of the fabric); 0 = the classic single-queue engine; negative
+  /// values throw std::invalid_argument. The domain decomposition is fixed
+  /// by the topology, so any two positive values produce byte-identical
+  /// results — the knob trades wall-clock only.
   int shards = 0;
   /// Simulation fidelity. Fidelity::Flow selects the fluid engine and takes
   /// precedence over `shards` (the flow engine is single-queue; its event
@@ -129,13 +130,10 @@ struct ScenarioConfig {
   FaultConfig faults;
 };
 
-struct ScenarioResult {
-  Samples cct_seconds;
-  /// Bytes serialized on fabric + host-NIC links (excludes NVLink).
-  Bytes fabric_bytes = 0;
-  /// Bytes serialized on switch-to-switch links only.
-  Bytes core_bytes = 0;
-  double sim_seconds = 0.0;       ///< simulated wall-clock at drain
+/// Every counter a simulation engine keeps (src/harness/engine.h reads them
+/// all in one place). ScenarioResult inherits them, so `r.events` etc. read
+/// as plain result fields.
+struct EngineStats {
   std::uint64_t events = 0;       ///< discrete events processed
   /// Of those, PODs the queue chained into a same-instant burst behind an
   /// earlier entry (EventQueue::chained) instead of a ladder entry each.
@@ -171,6 +169,15 @@ struct ScenarioResult {
   /// and sharded cells are comparable on this field:
   /// max_domain <= solo peak <= per-domain sum.
   Bytes reduce_sram_peak_max_domain = 0;
+};
+
+struct ScenarioResult : EngineStats {
+  Samples cct_seconds;
+  /// Bytes serialized on fabric + host-NIC links (excludes NVLink).
+  Bytes fabric_bytes = 0;
+  /// Bytes serialized on switch-to-switch links only.
+  Bytes core_bytes = 0;
+  double sim_seconds = 0.0;       ///< simulated wall-clock at drain
   std::size_t unfinished = 0;     ///< collectives that never completed (bug if > 0)
   std::uint64_t fault_downs = 0;  ///< duplex pairs that went down mid-run
   std::uint64_t fault_ups = 0;    ///< duplex pairs repaired mid-run

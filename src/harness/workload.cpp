@@ -17,12 +17,6 @@ namespace peel {
 
 namespace {
 
-using detail::audit_message;
-using detail::FlowEngine;
-using detail::make_summary;
-using detail::ShardedEngine;
-using detail::SoloEngine;
-
 /// Collective ids are (job << 20) | iteration+1 — unique as long as a job
 /// runs fewer than 2^20 iterations, and trivially attributable both ways.
 constexpr int kIterationBits = 20;
@@ -88,12 +82,21 @@ struct JobRt {
   int churned = 0;
 };
 
-template <typename Engine>
-WorkloadResult run_workload_with(Engine& engine, const Fabric& fabric,
-                                 const WorkloadConfig& config,
-                                 const std::vector<JobSpec>& specs) {
-  EventQueue& queue = engine.control();
+}  // namespace
+
+WorkloadResult run_workload(const Fabric& fabric,
+                            const WorkloadConfig& config) {
+  validate(config);
+  // The arrival schedule is generated before the engine exists — it is a
+  // pure function of (arrivals, seed) and identical whichever engine runs it.
   Rng rng(config.seed);
+  Rng arrivals_rng = rng.fork(0xa41);
+  const std::vector<JobSpec> specs =
+      generate_arrivals(config.arrivals, arrivals_rng);
+
+  detail::Engine engine(fabric.topo(), config.sim, config.fidelity,
+                        config.shards, config.byte_audit);
+  EventQueue& queue = engine.control();
   CollectiveRunner runner(fabric, engine.data(), queue, rng.fork(0xc0'11ec),
                           config.runner);
   Rng placer = rng.fork(0x97ace);
@@ -351,35 +354,17 @@ WorkloadResult run_workload_with(Engine& engine, const Fabric& fabric,
     });
   }
 
-  if (config.deadline_seconds > 0.0) {
-    engine.run_until(seconds_to_sim(config.deadline_seconds));
-  } else {
-    engine.run();
-  }
-
-  if (config.watchdog) {
-    enforce_all_finished(
-        runner, engine.empty() ? "event queue drained"
-                               : "deadline " +
-                                     std::to_string(config.deadline_seconds) +
-                                     " s exceeded");
-  }
-
-  // --- harvest -----------------------------------------------------------
   ScenarioResult& sim = result.sim;
-  result.cct_seconds.reserve(runner.records().size());
+  detail::run_and_harvest(engine, runner, fabric.topo(),
+                          config.deadline_seconds, config.watchdog,
+                          config.byte_audit, "workload", sim);
+  result.cct_seconds = sim.cct_seconds;
   std::unordered_map<std::uint64_t, std::pair<double, int>> per_job;
   per_job.reserve(specs.size());
   for (const CollectiveRecord& record : runner.records()) {
-    if (!record.finished) {
-      ++sim.unfinished;
-      continue;
-    }
-    const double cct = record.cct_seconds();
-    result.cct_seconds.add(cct);
-    sim.cct_seconds.add(cct);
+    if (!record.finished) continue;
     auto& [sum, count] = per_job[record.job];
-    sum += cct;
+    sum += record.cct_seconds();
     ++count;
   }
   for (std::size_t idx = 0; idx < specs.size(); ++idx) {
@@ -399,68 +384,11 @@ WorkloadResult run_workload_with(Engine& engine, const Fabric& fabric,
     }
   }
 
-  if (const Telemetry* telem = engine.finished_telemetry()) {
-    if (config.byte_audit) {
-      const bool clean = sim.unfinished == 0 && engine.empty();
-      const std::vector<std::string> violations =
-          clean ? telem->conservation_violations()
-                : telem->over_delivery_violations();
-      if (!violations.empty()) {
-        throw std::runtime_error(audit_message(
-            clean ? "workload drain" : "partial workload, over-delivery only",
-            violations));
-      }
-    }
-    sim.telemetry = make_summary(*telem, runner, engine.now());
-  }
-
-  sim.fabric_bytes =
-      bytes_on_links(engine.data(), fabric.topo(), true, true, false);
-  sim.core_bytes =
-      bytes_on_links(engine.data(), fabric.topo(), true, false, false);
-  sim.sim_seconds = sim_to_seconds(engine.now());
-  sim.events = engine.events();
-  sim.events_chained = engine.events_chained();
-  sim.segments = engine.segments_serialized();
-  sim.segments_lost = engine.segments_lost();
-  sim.pfc_pauses = engine.pfc_pauses();
-  sim.ecn_marks = engine.segments_marked();
-  harvest_flow_solver(engine, sim);
-  sim.reduce_sram_peak = engine.reduce_sram_peak();
-  sim.reduce_sram_peak_max_domain = engine.reduce_sram_peak_max_domain();
-  sim.plan_cache = runner.plan_cache().stats();
   result.controller_update_rate_hz =
       sim.sim_seconds > 0.0
           ? static_cast<double>(result.controller_updates) / sim.sim_seconds
           : 0.0;
   return result;
-}
-
-}  // namespace
-
-WorkloadResult run_workload(const Fabric& fabric,
-                            const WorkloadConfig& config) {
-  validate(config);
-  SimConfig sim = config.sim;
-  if (config.byte_audit) sim.telemetry.enabled = true;
-
-  // The arrival schedule is generated before the engine exists — it is a
-  // pure function of (arrivals, seed) and identical whichever engine runs it.
-  Rng rng(config.seed);
-  Rng arrivals_rng = rng.fork(0xa41);
-  const std::vector<JobSpec> specs =
-      generate_arrivals(config.arrivals, arrivals_rng);
-
-  if (config.fidelity == Fidelity::Flow) {
-    FlowEngine engine(fabric.topo(), sim);
-    return run_workload_with(engine, fabric, config, specs);
-  }
-  if (config.shards > 0) {
-    ShardedEngine engine(fabric.topo(), sim, config.shards);
-    return run_workload_with(engine, fabric, config, specs);
-  }
-  SoloEngine engine(fabric.topo(), sim);
-  return run_workload_with(engine, fabric, config, specs);
 }
 
 }  // namespace peel

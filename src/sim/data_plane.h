@@ -1,5 +1,6 @@
-// Abstract data-plane surface shared by the single-queue Network and the
-// pod-sharded engine (src/sim/sharded.h).
+// Abstract data-plane surface shared by the single-queue packet Network, the
+// pod-sharded engine (src/sim/sharded.h) and the fluid FlowNetwork
+// (src/sim/flow_network.h).
 //
 // The collective control plane (CollectiveRunner) and the fault injector
 // drive a simulation exclusively through this interface: open multicast
@@ -64,9 +65,10 @@ struct StreamDiagnostic {
 };
 
 /// What a collective scheme needs from the simulated fabric. Implemented by
-/// Network (single event queue) and ShardedNetwork (one queue per pod
-/// domain); the CollectiveRunner and FaultInjector are written against this
-/// interface and work unchanged on either engine.
+/// Network (single event queue), ShardedNetwork (one queue per pod domain)
+/// and FlowNetwork (fluid rates, single event queue); the CollectiveRunner
+/// and FaultInjector are written against this interface and work unchanged
+/// on any of the three engines.
 class DataPlane {
  public:
   virtual ~DataPlane() = default;

@@ -15,9 +15,12 @@
 //      byte audit, under the flow engine.
 //   4. Determinism — flow-fidelity sweep cells are byte-identical across
 //      sweep worker-thread counts.
+//   5. Engine selection — every driver picks the engine by the same rule
+//      (Flow wins over shards) and rejects a negative shard count.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -371,6 +374,139 @@ TEST(FlowFidelity, WorkloadEngineRunsUnderFlowFidelity) {
   EXPECT_EQ(r.jobs_submitted, 20u);
   EXPECT_EQ(r.sim.unfinished, 0u);
   EXPECT_GT(r.sim.events, 0u);
+}
+
+// --- 5. engine selection ----------------------------------------------------
+
+/// The flow-solver counters read 0 on both packet engines and count solves
+/// at flow fidelity. Stale and cascade fills need faults or rounding
+/// cascades, so only their packet-side zero is pinned.
+void expect_flow_counters(const EngineStats& s, bool flow) {
+  if (flow) {
+    EXPECT_GT(s.flow_solves, 0u);
+    EXPECT_GT(s.flow_solve_requests, 0u);
+    EXPECT_GT(s.flow_rerated, 0u);
+    EXPECT_GT(s.flow_rates_changed, 0u);
+    return;
+  }
+  EXPECT_EQ(s.flow_solves, 0u);
+  EXPECT_EQ(s.flow_solve_requests, 0u);
+  EXPECT_EQ(s.flow_rerated, 0u);
+  EXPECT_EQ(s.flow_rates_changed, 0u);
+  EXPECT_EQ(s.flow_stale_fills, 0u);
+  EXPECT_EQ(s.flow_cascade_fills, 0u);
+}
+
+// Every driver picks its engine the same way: Flow wins over `shards`, so a
+// flow cell reads the same at shards = 4 as at 0, and `shards > 0` selects
+// the sharded packet engine only at packet fidelity.
+TEST(FlowFidelity, EngineSelectionIsTheSameForEveryDriver) {
+  const FatTree ft = build_fat_tree(FatTreeConfig{4, 2, 4});
+  const Fabric fabric = Fabric::of(ft);
+
+  // run_scenario, on an in-network AllReduce so the combining-SRAM gauge
+  // moves on the packet engines.
+  ScenarioConfig sc =
+      base_config(Scheme::InNet, CollectiveKind::AllReduce, 16, 1 * kMiB);
+  const auto scenario = [&](Fidelity fidelity, int shards) {
+    sc.fidelity = fidelity;
+    sc.shards = shards;
+    return run_scenario(fabric, sc);
+  };
+  {
+    const ScenarioResult flow = scenario(Fidelity::Flow, 0);
+    const ScenarioResult flow4 = scenario(Fidelity::Flow, 4);
+    EXPECT_EQ(flow.cct_seconds.values(), flow4.cct_seconds.values());
+    EXPECT_EQ(flow.events, flow4.events);
+    EXPECT_EQ(flow.flow_solves, flow4.flow_solves);
+    expect_flow_counters(flow, true);
+    expect_flow_counters(flow4, true);
+    const ScenarioResult solo = scenario(Fidelity::Packet, 0);
+    const ScenarioResult sharded = scenario(Fidelity::Packet, 4);
+    expect_flow_counters(solo, false);
+    expect_flow_counters(sharded, false);
+    EXPECT_GT(solo.reduce_sram_peak, 0u);
+    EXPECT_EQ(solo.reduce_sram_peak_max_domain, solo.reduce_sram_peak);
+  }
+
+  // run_workload.
+  WorkloadConfig wc;
+  wc.scheme = Scheme::Peel;
+  wc.arrivals.group_sizes = {8};
+  wc.arrivals.message_bytes = 512 * kKiB;
+  wc.arrivals.jobs = 8;
+  wc.arrivals.iterations = 2;
+  wc.arrivals.rate_per_second = 20000.0;
+  wc.churn.events_per_job = 1;
+  wc.byte_audit = true;
+  wc.watchdog = true;
+  wc.seed = 4242;
+  const auto workload = [&](Fidelity fidelity, int shards) {
+    wc.fidelity = fidelity;
+    wc.shards = shards;
+    return run_workload(fabric, wc);
+  };
+  {
+    const WorkloadResult flow = workload(Fidelity::Flow, 0);
+    const WorkloadResult flow4 = workload(Fidelity::Flow, 4);
+    EXPECT_EQ(flow.cct_seconds.values(), flow4.cct_seconds.values());
+    EXPECT_EQ(flow.sim.events, flow4.sim.events);
+    EXPECT_EQ(flow.sim.flow_solves, flow4.sim.flow_solves);
+    expect_flow_counters(flow.sim, true);
+    expect_flow_counters(flow4.sim, true);
+    const WorkloadResult solo = workload(Fidelity::Packet, 0);
+    expect_flow_counters(solo.sim, false);
+    EXPECT_EQ(solo.sim.reduce_sram_peak_max_domain, solo.sim.reduce_sram_peak);
+    expect_flow_counters(workload(Fidelity::Packet, 4).sim, false);
+  }
+
+  // run_single_broadcast reports no counters; the CCT and bytes must match.
+  SingleRunOptions so;
+  PlacementOptions placement;
+  placement.group_size = 16;
+  Rng placer(7);
+  so.group = select_local_group(fabric, placement, placer);
+  so.message_bytes = 1 * kMiB;
+  so.byte_audit = true;
+  so.fidelity = Fidelity::Flow;
+  const SingleResult flow = run_single_broadcast(fabric, so);
+  so.shards = 4;
+  const SingleResult flow4 = run_single_broadcast(fabric, so);
+  EXPECT_EQ(flow.cct_seconds, flow4.cct_seconds);
+  EXPECT_EQ(flow.fabric_bytes, flow4.fabric_bytes);
+  EXPECT_EQ(flow.nvlink_bytes, flow4.nvlink_bytes);
+}
+
+// A negative shard count is an input error in the library itself, whichever
+// driver receives it and at either fidelity.
+TEST(FlowFidelity, NegativeShardCountIsRejectedByEveryDriver) {
+  const FatTree ft = build_fat_tree(FatTreeConfig{4, 2, 4});
+  const Fabric fabric = Fabric::of(ft);
+  for (const Fidelity fidelity : {Fidelity::Packet, Fidelity::Flow}) {
+    SCOPED_TRACE(to_string(fidelity));
+    ScenarioConfig sc =
+        base_config(Scheme::Peel, CollectiveKind::Broadcast, 16, 1 * kMiB);
+    sc.fidelity = fidelity;
+    sc.shards = -1;
+    EXPECT_THROW((void)run_scenario(fabric, sc), std::invalid_argument);
+
+    WorkloadConfig wc;
+    wc.arrivals.jobs = 2;
+    wc.arrivals.rate_per_second = 20000.0;
+    wc.fidelity = fidelity;
+    wc.shards = -1;
+    EXPECT_THROW((void)run_workload(fabric, wc), std::invalid_argument);
+
+    SingleRunOptions so;
+    PlacementOptions placement;
+    placement.group_size = 16;
+    Rng placer(7);
+    so.group = select_local_group(fabric, placement, placer);
+    so.fidelity = fidelity;
+    so.shards = -1;
+    EXPECT_THROW((void)run_single_broadcast(fabric, so),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace
